@@ -24,27 +24,10 @@ let exit_code_of_error (e : Diag.error) =
   | Diag.Fault_injected _ | Diag.Differential_mismatch _ | Diag.Job_crashed _
   | Diag.Torn_response _ | Diag.Internal _ -> 3
 
-let load_circuit spec : (Netlist.t, Diag.error) result =
-  if Sys.file_exists spec then begin
-    if Filename.check_suffix spec ".v" then Verilog_format.parse_file spec
-    else Bench_format.parse_file spec
-  end
-  else if spec = "c17" then Ok (Generators.c17 ())
-  else
-    match Iscas85.find_info spec with
-    | Some _ -> Ok (Iscas85.circuit spec)
-    | None ->
-      Error
-        (Diag.Unknown_circuit
-           { name = spec;
-             known =
-               "c17"
-               :: List.map (fun (i : Iscas85.info) -> i.name) Iscas85.suite })
-
 (* raising variant for command bodies; the typed error is rendered and
    mapped to an exit code at the top level. *)
 let circuit spec =
-  match load_circuit spec with Ok nl -> nl | Error e -> Diag.fail e
+  match Job.load_circuit spec with Ok nl -> nl | Error e -> Diag.fail e
 
 let circuit_arg =
   let doc =
@@ -911,7 +894,7 @@ let lint_cmd =
                 when not
                        (Lint_finding.exceeds ~fail_on:Lint_rule.Error
                           structural) -> (
-                match load_circuit spec with
+                match Job.load_circuit spec with
                 | Ok nl ->
                   let model = build_model `Gate nl in
                   Bounds.check model ~target:(f *. Sweep.dmin model)
@@ -1533,9 +1516,9 @@ let serve_cmd =
 
 (* map a daemon response to the CLI's stable exit codes *)
 let client_exit_code response =
-  if Serve_json.bool_field "ok" response = Some true then 0
+  if Json.bool_field "ok" response = Some true then 0
   else
-    match Serve_json.str_field "code" response with
+    match Json.str_field "code" response with
     | Some ("bad-request" | "unknown-job") -> 2
     | Some ("internal" | "storage-error") -> 3
     | _ -> 1
@@ -1628,7 +1611,7 @@ let client_cmd =
     with
     | Error e -> Diag.fail e
     | Ok response ->
-      print_endline (Serve_json.to_string response);
+      print_endline (Json.to_string response);
       let code = client_exit_code response in
       if code > 0 then exit code
   in
@@ -1706,7 +1689,7 @@ let loadgen_cmd =
           deadline_seconds = deadline }
     with
     | Error e -> Diag.fail e
-    | Ok summary -> print_endline (Serve_json.to_string summary)
+    | Ok summary -> print_endline (Json.to_string summary)
   in
   Cmd.v
     (Cmd.info "loadgen"
@@ -1892,12 +1875,6 @@ let torture_cmd =
         (try Unix.rmdir path with Unix.Unix_error _ -> ())
       | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     in
-    let rec mkdirs d =
-      if not (Sys.file_exists d) then begin
-        mkdirs (Filename.dirname d);
-        try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-      end
-    in
     let nl = circuit circuit_spec in
     let model = build_model `Gate nl in
     let trace_factor = List.hd factors in
@@ -1981,8 +1958,9 @@ let torture_cmd =
     in
     let setup () =
       rm_rf dir;
-      mkdirs batch_dir;
-      mkdirs serve_dir
+      List.iter
+        (fun d -> match Io.mkdirs d with Ok () -> () | Error e -> Diag.fail e)
+        [ batch_dir; serve_dir ]
     in
     let workload () =
       (match run_batch ~resume:false with
@@ -2024,7 +2002,7 @@ let torture_cmd =
         (fun journal ->
           List.iter
             (fun (_event, line) ->
-              match Serve_json.parse line with
+              match Json.parse line with
               | Ok _ -> ()
               | Error msg ->
                 add "%s: surviving line does not parse (%s): %s" journal msg

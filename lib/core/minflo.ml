@@ -42,6 +42,7 @@ module Stats = Minflo_util.Stats
 module Table = Minflo_util.Table
 module Bitset = Minflo_util.Bitset
 module Union_find = Minflo_util.Union_find
+module Json = Minflo_util.Json
 
 (* resilience: structured diagnostics, run budgets, solver fallback,
    post-phase invariant checks, deterministic fault injection *)
@@ -94,7 +95,6 @@ module Cnf = Minflo_sat.Cnf
 (* tech *)
 module Tech = Minflo_tech.Tech
 module Gate_model = Minflo_tech.Gate_model
-module Liberty = Minflo_tech.Liberty
 module Delay_model = Minflo_tech.Delay_model
 module Elmore = Minflo_tech.Elmore
 module Transistor = Minflo_tech.Transistor
@@ -110,19 +110,12 @@ module Balance = Minflo_timing.Balance
 module Activity = Minflo_power.Activity
 module Power = Minflo_power.Power
 
-(* interconnect buffering (the physical counterpart of [13]) *)
-module Van_ginneken = Minflo_buffering.Van_ginneken
-
-(* retiming (the D-phase machinery's original application) *)
-module Retiming = Minflo_retiming.Retiming
-
 (* sizing *)
 module Tilos = Minflo_sizing.Tilos
 module Wphase = Minflo_sizing.Wphase
 module Dphase = Minflo_sizing.Dphase
 module Sensitivity = Minflo_sizing.Sensitivity
 module Lagrangian = Minflo_sizing.Lagrangian
-module Discrete = Minflo_sizing.Discrete
 module Optimality = Minflo_sizing.Optimality
 module Minflotransit = Minflo_sizing.Minflotransit
 module Sweep = Minflo_sizing.Sweep
@@ -151,7 +144,6 @@ module Benchmarks = Minflo_runner.Benchmarks
 (* sizing-as-a-service daemon: admission control, crash recovery,
    graceful drain, health probes over unix sockets and TCP, retrying
    clients, byte-budgeted result cache, network chaos proxy *)
-module Serve_json = Minflo_serve.Json
 module Serve_protocol = Minflo_serve.Protocol
 module Serve = Minflo_serve.Server
 module Serve_transport = Minflo_serve.Transport

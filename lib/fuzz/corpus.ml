@@ -51,25 +51,10 @@ let render r =
   line "end";
   Buffer.contents b
 
-let rec mkdir_p dir =
-  match Unix.mkdir dir 0o755 with
-  | () -> ()
-  | exception Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
-    let parent = Filename.dirname dir in
-    if parent <> dir then begin
-      mkdir_p parent;
-      try Unix.mkdir dir 0o755
-      with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-    end
-
 let save ~dir r =
   let path = Filename.concat dir (file_name r) in
-  try
-    mkdir_p dir;
-    Result.map (fun () -> path) (Io.atomic_replace path (render r))
-  with Unix.Unix_error (e, _, _) ->
-    Error (Diag.Io_error { file = dir; msg = Unix.error_message e })
+  Result.bind (Io.mkdirs dir) (fun () ->
+      Result.map (fun () -> path) (Io.atomic_replace path (render r)))
 
 (* ---------- load ---------- *)
 

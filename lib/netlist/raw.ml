@@ -181,3 +181,22 @@ let elaborate t =
      with Invalid_argument m -> fail { line = 1; col = 0 } "%s" m);
     Ok nl
   with Fail e -> Error e
+
+(* ---------- parser plumbing ---------- *)
+
+exception Located of int * int * string
+
+let located ?file body =
+  match body () with
+  | v -> Ok v
+  | exception Located (line, col, msg) ->
+    Error (Diag.Parse_error { file; line; col; msg })
+
+let read_file path =
+  match open_in path with
+  | exception Sys_error msg -> Error (Diag.Io_error { file = path; msg })
+  | ic ->
+    Ok
+      (Fun.protect
+         ~finally:(fun () -> close_in ic)
+         (fun () -> really_input_string ic (in_channel_length ic)))

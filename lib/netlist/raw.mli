@@ -59,3 +59,20 @@ val elaborate : t -> (Netlist.t, Minflo_robust.Diag.error) result
 val signal_names : t -> string list
 (** Every distinct signal mentioned anywhere (inputs, outputs, gate outputs
     and fanins), in first-mention order. *)
+
+(** {1 Parser plumbing}
+
+    Shared by both readers: a parser body raises {!Located} at the failing
+    position, and {!located} wraps it into a [Parse_error] at the API
+    boundary, where the file name is known. *)
+
+exception Located of int * int * string
+(** [(line, col, message)] of a parse failure. *)
+
+val located :
+  ?file:string -> (unit -> 'a) -> ('a, Minflo_robust.Diag.error) result
+
+val read_file : string -> (string, Minflo_robust.Diag.error) result
+(** Whole-file read; an unreadable file is an [Io_error]. Deliberately not
+    [Minflo_robust.Io.read_file]: a netlist read is not a storage read and
+    must not trip the [io.eio-read] fault site. *)

@@ -151,6 +151,18 @@ let unlink path =
   | Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
   | Unix.Unix_error (e, _, _) -> Error (of_unix_error path "unlink" e)
 
+let rec mkdirs dir =
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok ()
+    else Error (io_error dir "mkdir: exists and is not a directory")
+  else
+    match mkdirs (Filename.dirname dir) with
+    | Error _ as e -> e
+    | Ok () -> (
+      try Ok (Unix.mkdir dir 0o755) with
+      | Unix.Unix_error (Unix.EEXIST, _, _) -> Ok ()
+      | Unix.Unix_error (e, _, _) -> Error (of_unix_error dir "mkdir" e))
+
 let fsync_dir_best_effort dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()

@@ -112,6 +112,13 @@ val atomic_replace : ?fsync_dir:bool -> string -> string -> (unit, Diag.error) r
 val unlink : string -> (unit, Diag.error) result
 (** [Unix.unlink], typed; unlinking a missing file is [Ok ()]. *)
 
+val mkdirs : string -> (unit, Diag.error) result
+(** [mkdir -p], typed: create [dir] and any missing parents (mode 0o755).
+    An existing directory is [Ok ()]; an existing non-directory anywhere on
+    the path, or any OS refusal, is an {!Diag.Io_error} ([ENOSPC] a
+    {!Diag.Disk_full}). Not instrumented: no fault site, no write
+    boundary. *)
+
 val sweep_tmp : ?recurse:bool -> string -> string list
 (** Unlink every [*.tmp] file directly in the directory (and below it, with
     [~recurse:true]) — the orphans a crash mid-{!atomic_replace} leaves

@@ -44,22 +44,6 @@ type summary = {
   mismatches : int;
 }
 
-let rec mkdirs dir =
-  if Sys.file_exists dir then
-    if Sys.is_directory dir then Ok ()
-    else Error (Diag.Io_error { file = dir; msg = "exists and is not a directory" })
-  else
-    match mkdirs (Filename.dirname dir) with
-    | Error _ as e -> e
-    | Ok () -> (
-      try
-        Unix.mkdir dir 0o755;
-        Ok ()
-      with
-      | Unix.Unix_error (Unix.EEXIST, _, _) -> Ok ()
-      | Unix.Unix_error (e, _, _) ->
-        Error (Diag.Io_error { file = dir; msg = Unix.error_message e }))
-
 let checkpoint_path cfg job =
   Option.map
     (fun dir -> Filename.concat dir (Job.file_slug job ^ ".ckpt"))
@@ -216,7 +200,7 @@ let run ?(config = default_config) jobs =
     match config.checkpoint_dir with
     | None -> Ok None
     | Some dir -> (
-      match mkdirs dir with
+      match Minflo_robust.Io.mkdirs dir with
       | Error _ as e -> e
       | Ok () -> (
         match Journal.open_append (journal_path dir) with

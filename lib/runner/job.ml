@@ -41,6 +41,13 @@ let cross ~circuits ~factors ~solvers =
         factors)
     circuits
 
+let unknown_circuit spec =
+  Error
+    (Diag.Unknown_circuit
+       { name = spec;
+         known =
+           "c17" :: List.map (fun (i : Iscas85.info) -> i.name) Iscas85.suite })
+
 let load_raw spec : (Minflo_netlist.Raw.t, Diag.error) result =
   if Sys.file_exists spec then
     if Filename.check_suffix spec ".v" then Verilog_format.parse_raw_file spec
@@ -49,13 +56,7 @@ let load_raw spec : (Minflo_netlist.Raw.t, Diag.error) result =
   else
     match Iscas85.find_info spec with
     | Some _ -> Ok (Minflo_netlist.Raw.of_netlist (Iscas85.circuit spec))
-    | None ->
-      Error
-        (Diag.Unknown_circuit
-           { name = spec;
-             known =
-               "c17"
-               :: List.map (fun (i : Iscas85.info) -> i.name) Iscas85.suite })
+    | None -> unknown_circuit spec
 
 let load_circuit spec : (Netlist.t, Diag.error) result =
   if Sys.file_exists spec then
@@ -65,13 +66,7 @@ let load_circuit spec : (Netlist.t, Diag.error) result =
   else
     match Iscas85.find_info spec with
     | Some _ -> Ok (Iscas85.circuit spec)
-    | None ->
-      Error
-        (Diag.Unknown_circuit
-           { name = spec;
-             known =
-               "c17"
-               :: List.map (fun (i : Iscas85.info) -> i.name) Iscas85.suite })
+    | None -> unknown_circuit spec
 
 type outcome = {
   job : t;

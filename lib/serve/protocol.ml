@@ -1,4 +1,5 @@
 module Job = Minflo_runner.Job
+module Json = Minflo_util.Json
 module Diag = Minflo_robust.Diag
 
 type submit = {

@@ -1,4 +1,5 @@
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 module Io = Minflo_robust.Io
 module Perf = Minflo_robust.Perf
 module Mono = Minflo_robust.Mono
@@ -78,14 +79,6 @@ let slug key =
       | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '.' | '_' | '-' -> c
       | _ -> '-')
     key
-
-let rec mkdirs dir =
-  if Sys.file_exists dir then ()
-  else begin
-    mkdirs (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 let outcome_fields key (spec : Protocol.submit) (o : Job.outcome) =
   [ ("id", Json.Str key);
@@ -266,14 +259,15 @@ let recovery_snapshot journal_path =
 
 (* ---------- the worker thunk ---------- *)
 
+(* per-key checkpoint directory: jobs that share a circuit but differ in
+   budget must never resume from each other's state *)
+let checkpoint_dir cfg key =
+  Filename.concat (Filename.concat cfg.run_dir "checkpoints") (slug key)
+
 let worker_thunk cfg (spec : Protocol.submit) (emit : Supervisor.emit) =
   if spec.sleep_seconds > 0.0 then Unix.sleepf spec.sleep_seconds;
   let key = Protocol.job_key spec in
-  (* per-key checkpoint directory: jobs that share a circuit but differ in
-     budget must never resume from each other's state *)
-  let ckpt_dir =
-    Filename.concat (Filename.concat cfg.run_dir "checkpoints") (slug key)
-  in
+  let ckpt_dir = checkpoint_dir cfg key in
   let limits =
     Budget.limits ?wall_seconds:spec.max_seconds
       ?max_iterations:spec.max_iterations ?max_pivots:spec.max_pivots ()
@@ -357,15 +351,27 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       parallel = max 1 config.parallel;
       cache_bytes = max 0 config.cache_bytes }
   in
-  mkdirs cfg.run_dir;
+  match Io.mkdirs cfg.run_dir with
+  | Error e -> Error e
+  | Ok () ->
   let journal_path = Filename.concat cfg.run_dir "journal.jsonl" in
   (* replay the previous life's journal BEFORE taking the append lock:
      POSIX record locks die when the process closes *any* descriptor for
      the file, so a scan after [open_append] would silently release the
      single-instance lock *)
   let table, order, recovered = recover_table journal_path in
-  match Journal.open_append journal_path with
-  | Error e -> Error e (* Journal_locked: another live daemon owns this dir *)
+  (* the jobs recovery will requeue get their checkpoint dirs now, while
+     a storage failure is still a plain typed start-up error *)
+  let requeue_dirs =
+    List.fold_left
+      (fun acc key ->
+        match (acc, Hashtbl.find_opt table key) with
+        | Ok (), Some e when e.state = Queued -> Io.mkdirs (checkpoint_dir cfg key)
+        | _ -> acc)
+      (Ok ()) order
+  in
+  match Result.bind requeue_dirs (fun () -> Journal.open_append journal_path) with
+  | Error e -> Error e (* or Journal_locked: another live daemon owns this dir *)
   | Ok jr -> (
     (* stale socket from a SIGKILLed life: nobody is listening, remove it;
        a live listener means a config clash (same socket, different run
@@ -465,10 +471,6 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
         (fun key ->
           match Hashtbl.find_opt table key with
           | Some e when e.state = Queued ->
-            mkdirs
-              (Filename.concat
-                 (Filename.concat cfg.run_dir "checkpoints")
-                 (slug key));
             Bounded_queue.push_force admission key;
             incr requeued
           | Some { state = Done; _ } ->
@@ -834,15 +836,15 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
               (* build (or reuse) the delay model in the parent: workers
                  inherit it copy-on-write, and repeats hit the cache *)
               ignore (Minflo_tech.Model_cache.model nl);
-              mkdirs
-                (Filename.concat
-                   (Filename.concat cfg.run_dir "checkpoints")
-                   (slug key));
-              match journal_accepted key s with
+              match
+                Result.bind (Io.mkdirs (checkpoint_dir cfg key)) (fun () ->
+                    journal_accepted key s)
+              with
               | Error se ->
                 (* nothing durable, so nothing is queued: a restart could
                    not reconstruct this job, and the client was never told
-                   [accepted] *)
+                   [accepted]. An unmakeable checkpoint dir is the same
+                   storage failure as an unjournalable acceptance. *)
                 Perf.tick_rejection ();
                 enter_degraded se;
                 storage_error se

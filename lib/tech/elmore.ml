@@ -9,9 +9,7 @@ let gate_vertex nl =
       incr next);
   map
 
-let of_netlist_with
-    ~(model_of : Minflo_netlist.Gate.kind -> arity:int -> Gate_model.t)
-    (tech : Tech.t) nl =
+let of_netlist (tech : Tech.t) nl =
   Netlist.validate nl;
   let v_of = gate_vertex nl in
   let n = Netlist.gate_count nl in
@@ -25,7 +23,8 @@ let of_netlist_with
   let labels = Array.make n "" in
   let model v =
     match Netlist.kind nl v with
-    | Netlist.Gate k -> model_of k ~arity:(List.length (Netlist.fanins nl v))
+    | Netlist.Gate k ->
+      Gate_model.of_gate tech k ~arity:(List.length (Netlist.fanins nl v))
     | Netlist.Input -> assert false
   in
   Netlist.iter_gates nl (fun v ->
@@ -68,8 +67,6 @@ let of_netlist_with
   in
   Delay_model.validate model;
   model
-
-let of_netlist tech nl = of_netlist_with ~model_of:(Gate_model.of_gate tech) tech nl
 
 let with_wires (tech : Tech.t) nl =
   Netlist.validate nl;

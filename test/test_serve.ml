@@ -3,7 +3,7 @@
    including the acceptance scenario (SIGKILL with in-flight jobs, restart
    on the same run directory, bit-identical recovered results). *)
 
-module Json = Minflo_serve.Json
+module Json = Minflo_util.Json
 module Protocol = Minflo_serve.Protocol
 module Bounded_queue = Minflo_serve.Bounded_queue
 module Server = Minflo_serve.Server
@@ -949,6 +949,66 @@ let test_e2e_chaos_bit_identical () =
   | Error e -> Alcotest.failf "chaos report unreadable: %s" e);
   rm_rf dir
 
+(* a storage fault on the admission path degrades the daemon to read-only
+   instead of killing it. [checkpoints] is a regular file, so the per-job
+   checkpoint dir cannot be made (ENOTDIR — unlike a chmod, this holds when
+   the tests run as root) *)
+let ckpt_blocked_cfg name =
+  let dir = fresh_dir name in
+  let cfg = daemon_cfg dir in
+  Unix.mkdir cfg.Server.run_dir 0o755;
+  Out_channel.with_open_text
+    (Filename.concat cfg.run_dir "checkpoints")
+    (fun oc -> output_string oc "not a directory\n");
+  (dir, cfg)
+
+let test_e2e_checkpoint_dir_fault_degrades () =
+  let dir, cfg = ckpt_blocked_cfg "serve-ckpt-fault" in
+  let pid = start_daemon cfg in
+  wait_ready cfg;
+  let r = rpc cfg (Protocol.Submit (submit_spec "c17")) in
+  check (Alcotest.option Alcotest.bool) "submit refused" (Some false)
+    (Json.bool_field "ok" r);
+  check (Alcotest.option string) "typed storage error" (Some "storage-error")
+    (Json.str_field "code" r);
+  check (Alcotest.option string) "health reports degraded" (Some "degraded")
+    (Json.str_field "status" (rpc cfg Protocol.Health));
+  check (Alcotest.option Alcotest.bool) "still answering" (Some true)
+    (Json.bool_field "ok" (rpc cfg Protocol.Stats));
+  (match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ -> ()
+  | _ -> Alcotest.fail "daemon died on a storage fault");
+  ignore (rpc cfg Protocol.Drain);
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "degraded daemon did not drain cleanly");
+  check Alcotest.bool "degradation journaled" true
+    (List.mem "serve-degraded" (journal_events cfg));
+  rm_rf dir
+
+(* the same fault met by start-up recovery (a journaled job to requeue) is
+   a typed error from [Server.run], not an exception *)
+let test_recovery_checkpoint_dir_fault_is_typed () =
+  let dir, cfg = ckpt_blocked_cfg "serve-ckpt-recover" in
+  let spec = submit_spec "c17" in
+  (match Journal.open_append (Filename.concat cfg.run_dir "journal.jsonl") with
+  | Error e -> Alcotest.failf "journal: %s" (Diag.to_string e)
+  | Ok jr ->
+    Journal.event jr ~job:(Protocol.job_key spec)
+      ~fields:
+        [ Journal.field_str "circuit" spec.circuit;
+          Journal.field_float "factor" spec.factor;
+          Journal.field_str "solver" "simplex" ]
+      "serve-accepted";
+    Journal.close jr);
+  (match Server.run ~config:cfg () with
+  | Error (Diag.Io_error _) -> ()
+  | Error e -> Alcotest.failf "wrong diagnostic: %s" (Diag.to_string e)
+  | Ok () -> Alcotest.fail "recovery ignored the unmakeable checkpoint dir");
+  check Alcotest.bool "no socket left behind" false
+    (Sys.file_exists cfg.socket_path);
+  rm_rf dir
+
 let () =
   Alcotest.run "serve"
     [ ( "json",
@@ -996,4 +1056,8 @@ let () =
           Alcotest.test_case "drain edges: idle exit, full-queue submit" `Quick
             test_e2e_drain_edges;
           Alcotest.test_case "chaos run is bit-identical to fault-free" `Slow
-            test_e2e_chaos_bit_identical ] ) ]
+            test_e2e_chaos_bit_identical;
+          Alcotest.test_case "checkpoint dir fault degrades, not dies" `Quick
+            test_e2e_checkpoint_dir_fault_degrades;
+          Alcotest.test_case "checkpoint dir fault on recovery is typed" `Quick
+            test_recovery_checkpoint_dir_fault_is_typed ] ) ]
