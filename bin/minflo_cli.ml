@@ -29,6 +29,14 @@ let exit_code_of_error (e : Diag.error) =
 let circuit spec =
   match Job.load_circuit spec with Ok nl -> nl | Error e -> Diag.fail e
 
+(* commands that build a timing model refuse a circuit with lint errors
+   first, as the batch and serve gates do: a circuit in which no gate drives
+   an output, say, has no sink to time *)
+let sized_circuit spec =
+  let nl = circuit spec in
+  Option.iter Diag.fail (Job.lint_error spec);
+  nl
+
 let circuit_arg =
   let doc =
     "Circuit: a .bench/.v file path or a built-in suite name (c432 .. c7552, \
@@ -210,7 +218,7 @@ let stats_cmd =
 
 let sta_cmd =
   let run name granularity factor =
-    let nl = circuit name in
+    let nl = sized_circuit name in
     let model = build_model granularity nl in
     let x = Delay_model.uniform_sizes model model.Delay_model.min_size in
     let delays = Delay_model.delays model x in
@@ -253,7 +261,7 @@ let size_cmd =
   let run name granularity factor tool dump solver do_check max_seconds
       max_iterations max_pivots fault_sites fault_count fault_after warm_start
       trace_out =
-    let nl = circuit name in
+    let nl = sized_circuit name in
     let model = build_model granularity nl in
     let d0 = Sweep.dmin model in
     let a0 = Sweep.min_area model in
@@ -365,7 +373,7 @@ let sweep_cmd =
          & info [ "factors" ] ~doc:"Comma-separated delay factors.")
   in
   let run name granularity factors =
-    let nl = circuit name in
+    let nl = sized_circuit name in
     let model = build_model granularity nl in
     let table =
       Table.create
@@ -806,7 +814,7 @@ let bench_cmd =
 
 let power_cmd =
   let run name factor =
-    let nl = circuit name in
+    let nl = sized_circuit name in
     let tech = Tech.default_130nm in
     let model = Elmore.of_netlist tech nl in
     let target = factor *. Sweep.dmin model in
@@ -967,7 +975,7 @@ let audit_cert_cmd =
                    auditor itself is tested.")
   in
   let run name granularity factor solvers fault_sites =
-    let nl = circuit name in
+    let nl = sized_circuit name in
     let model = build_model granularity nl in
     let d0 = Sweep.dmin model in
     let target = factor *. d0 in
@@ -1061,7 +1069,7 @@ let audit_run_cmd =
              ~doc:"Write the report to $(docv) instead of stdout.")
   in
   let run name granularity factor trace_path format out =
-    let nl = circuit name in
+    let nl = sized_circuit name in
     let model = build_model granularity nl in
     let target = factor *. Sweep.dmin model in
     if not (Sys.file_exists trace_path) then
@@ -1875,7 +1883,7 @@ let torture_cmd =
         (try Unix.rmdir path with Unix.Unix_error _ -> ())
       | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     in
-    let nl = circuit circuit_spec in
+    let nl = sized_circuit circuit_spec in
     let model = build_model `Gate nl in
     let trace_factor = List.hd factors in
     let trace_target = trace_factor *. Sweep.dmin model in

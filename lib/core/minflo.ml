@@ -101,7 +101,6 @@ module Transistor = Minflo_tech.Transistor
 module Model_cache = Minflo_tech.Model_cache
 
 (* timing *)
-module Arena = Minflo_timing.Arena
 module Sta = Minflo_timing.Sta
 module Incremental = Minflo_timing.Incremental
 module Balance = Minflo_timing.Balance

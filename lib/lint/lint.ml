@@ -64,6 +64,20 @@ let check_interface v acc =
     mk v ~loc:{ line = 1; col = 0 } Rule.mf009_empty_interface
       "circuit %S declares no primary outputs" v.raw.Raw.circuit
     :: acc
+  else if
+    (* every output is a primary input: no gate is timed, the sizing
+       problem has no sink (undriven outputs are MF003's) *)
+    List.for_all
+      (fun (nm, _) ->
+        let i = idx v nm in
+        v.driver.(i) = None && v.input_decl.(i) <> None)
+      v.raw.Raw.outputs
+  then
+    mk v ~loc:{ line = 1; col = 0 } Rule.mf009_empty_interface
+      "circuit %S: no gate drives a primary output, so there is nothing to \
+       size"
+      v.raw.Raw.circuit
+    :: acc
   else acc
 
 let check_duplicate_inputs v acc =

@@ -83,7 +83,9 @@ let mf009_empty_interface =
   { id = "MF009";
     severity = Error;
     name = "empty-interface";
-    summary = "The circuit declares no primary inputs or no primary outputs." }
+    summary =
+      "The circuit declares no primary inputs or no primary outputs, or no \
+       gate drives a primary output, so there is nothing to size." }
 
 let mf010_bad_arity =
   { id = "MF010";

@@ -270,22 +270,7 @@ let run ?(config = default_config) jobs =
       match Hashtbl.find_opt lint_verdicts spec with
       | Some v -> v
       | None ->
-        let v =
-          if not config.preflight then None
-          else
-            match Job.load_raw spec with
-            | Error e -> Some e
-            | Ok raw -> (
-              let findings = Minflo_lint.Lint.check raw in
-              match
-                List.find_opt
-                  (fun (f : Minflo_lint.Finding.t) ->
-                    f.rule.severity = Minflo_lint.Rule.Error)
-                  findings
-              with
-              | Some f -> Some (Minflo_lint.Finding.to_diag f)
-              | None -> None)
-        in
+        let v = if config.preflight then Job.lint_error spec else None in
         Hashtbl.replace lint_verdicts spec v;
         v
     in

@@ -68,6 +68,15 @@ let load_circuit spec : (Netlist.t, Diag.error) result =
     | Some _ -> Ok (Iscas85.circuit spec)
     | None -> unknown_circuit spec
 
+let lint_error spec =
+  match load_raw spec with
+  | Error e -> Some e
+  | Ok raw ->
+    Minflo_lint.Lint.check raw
+    |> List.find_opt (fun (f : Minflo_lint.Finding.t) ->
+           f.rule.severity = Minflo_lint.Rule.Error)
+    |> Option.map Minflo_lint.Finding.to_diag
+
 type outcome = {
   job : t;
   area : float;

@@ -42,6 +42,12 @@ val load_raw : string -> (Minflo_netlist.Raw.t, Minflo_robust.Diag.error) result
     circuits go through {!Minflo_netlist.Raw.of_netlist}. This is what the
     batch pre-flight lint gate runs on. *)
 
+val lint_error : string -> Minflo_robust.Diag.error option
+(** The pre-flight gate shared by batch, serve and the CLI's model-building
+    commands: the load error of the spec, or its first error-severity lint
+    finding as a typed [Lint_error], or [None] for a circuit that is safe to
+    build a timing model of. *)
+
 (** Plain-data result of a completed sizing job — free of closures and
     abstract types so it can cross the child-process boundary via
     [Marshal]. *)

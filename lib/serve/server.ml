@@ -672,20 +672,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
             promote ()
       in
       let lint_error spec =
-        if not cfg.preflight then None
-        else
-          match Job.load_raw spec with
-          | Error e -> Some e
-          | Ok raw -> (
-            let findings = Minflo_lint.Lint.check raw in
-            match
-              List.find_opt
-                (fun (f : Minflo_lint.Finding.t) ->
-                  f.rule.severity = Minflo_lint.Rule.Error)
-                findings
-            with
-            | Some f -> Some (Minflo_lint.Finding.to_diag f)
-            | None -> None)
+        if cfg.preflight then Job.lint_error spec else None
       in
       (* MF201 admission gate: the interval-bound delay floor of a circuit
          is a static property, so a factor below it is rejected here with a

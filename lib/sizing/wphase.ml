@@ -1,5 +1,4 @@
 module Delay_model = Minflo_tech.Delay_model
-module Arena = Minflo_timing.Arena
 module Diag = Minflo_robust.Diag
 
 type result = {
@@ -35,14 +34,12 @@ let solve ?fault model ~budgets =
     match !bad with
     | Some e -> Error e
     | None ->
-      let arena = Arena.of_model model in
-      let blocks = Arena.blocks arena in
+      let blocks = model.Delay_model.blocks in
       let x = Array.make n model.Delay_model.min_size in
       let required i =
         let acc = ref model.Delay_model.b.(i) in
-        for c = arena.Arena.coeff_off.(i) to arena.Arena.coeff_off.(i + 1) - 1
-        do
-          acc := !acc +. (arena.Arena.coeff_a.(c) *. x.(arena.Arena.coeff_j.(c)))
+        for c = model.coeff_off.(i) to model.coeff_off.(i + 1) - 1 do
+          acc := !acc +. (model.coeff_a.(c) *. x.(model.coeff_j.(c)))
         done;
         !acc /. (budgets.(i) -. model.Delay_model.a_self.(i))
       in
@@ -94,9 +91,9 @@ let solve ?fault model ~budgets =
                   if nx > x.(i) +. tol then begin
                     x.(i) <- nx;
                     local := true;
-                    for c = arena.Arena.loader_off.(i)
-                        to arena.Arena.loader_off.(i + 1) - 1 do
-                      let k = arena.Arena.loader_k.(c) in
+                    for c = model.loader_off.(i)
+                        to model.loader_off.(i + 1) - 1 do
+                      let k = model.loader_k.(c) in
                       if member.(k) = bi then dirty.(k) <- true
                     done
                   end

@@ -9,6 +9,9 @@ let gate_vertex nl =
       incr next);
   map
 
+(* coefficient rows in [Hashtbl.to_seq] order *)
+let rows a_acc = Array.map (fun h -> Array.of_seq (Hashtbl.to_seq h)) a_acc
+
 let of_netlist (tech : Tech.t) nl =
   Netlist.validate nl;
   let v_of = gate_vertex nl in
@@ -55,18 +58,9 @@ let of_netlist (tech : Tech.t) nl =
       (* gates also load the primary inputs driving them, but PIs carry no
          sizing variable: nothing to record on that side *)
       ignore (Netlist.fanins nl v));
-  let a_coeffs =
-    Array.map
-      (fun h -> Array.of_seq (Seq.map (fun (j, a) -> (j, a)) (Hashtbl.to_seq h)))
-      a_acc
-  in
-  let model : Delay_model.t =
-    { graph; a_self; a_coeffs; b; area_weight; is_sink;
-      block = Array.init n Fun.id; labels;
-      min_size = tech.min_size; max_size = tech.max_size }
-  in
-  Delay_model.validate model;
-  model
+  Delay_model.make ~graph ~a_self ~coeffs:(rows a_acc) ~b ~area_weight ~is_sink
+    ~block:(Array.init n Fun.id) ~labels ~min_size:tech.min_size
+    ~max_size:tech.max_size
 
 let with_wires (tech : Tech.t) nl =
   Netlist.validate nl;
@@ -129,11 +123,6 @@ let with_wires (tech : Tech.t) nl =
         (List.sort_uniq compare fanouts);
       (* the driver's resistance also charges the pad load behind the wire *)
       if Netlist.is_output nl v then b.(i) <- b.(i) +. (m.r_drive *. tech.c_load));
-  let a_coeffs = Array.map (fun h -> Array.of_seq (Hashtbl.to_seq h)) a_acc in
-  let model : Delay_model.t =
-    { graph; a_self; a_coeffs; b; area_weight; is_sink;
-      block = Array.init n Fun.id; labels;
-      min_size = tech.min_size; max_size = tech.max_size }
-  in
-  Delay_model.validate model;
-  model
+  Delay_model.make ~graph ~a_self ~coeffs:(rows a_acc) ~b ~area_weight ~is_sink
+    ~block:(Array.init n Fun.id) ~labels ~min_size:tech.min_size
+    ~max_size:tech.max_size

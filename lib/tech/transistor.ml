@@ -219,14 +219,7 @@ let of_netlist (tech : Tech.t) nl =
               end)
             (Netlist.fanins nl w))
         (List.sort_uniq compare (Netlist.fanouts nl v)));
-  let a_coeffs =
-    Array.map (fun h -> Array.of_seq (Hashtbl.to_seq h)) a_acc
-  in
-  let model : Delay_model.t =
-    { graph; a_self; a_coeffs; b;
-      area_weight = Array.make n 1.0;
-      is_sink; block; labels;
-      min_size = tech.min_size; max_size = tech.max_size }
-  in
-  Delay_model.validate model;
-  model
+  let coeffs = Array.map (fun h -> Array.of_seq (Hashtbl.to_seq h)) a_acc in
+  Delay_model.make ~graph ~a_self ~coeffs ~b
+    ~area_weight:(Array.make n 1.0) ~is_sink ~block ~labels
+    ~min_size:tech.min_size ~max_size:tech.max_size

@@ -24,6 +24,11 @@ val analyze :
 val arrivals : Minflo_tech.Delay_model.t -> delays:float array -> float array
 (** Arrival times only (one forward sweep). *)
 
+val arrivals_into :
+  Minflo_tech.Delay_model.t -> delays:float array -> float array -> unit
+(** One forward max-propagation sweep in [topo] order into a caller-owned
+    array; unlike {!arrivals} it does not tick the sweep counter. *)
+
 val critical_path_only : Minflo_tech.Delay_model.t -> delays:float array -> float
 (** Just [CP(G)] — cheaper when required times are not needed. *)
 

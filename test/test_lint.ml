@@ -137,7 +137,14 @@ let test_mf009_empty_interface () =
   let fs = lint "INPUT(a)\n" in
   check int "MF009 once" 1 (count "MF009" fs);
   let no_inputs = lint "OUTPUT(y)\ny = AND(y, y)\n" in
-  check int "MF009 for missing inputs" 1 (count "MF009" no_inputs)
+  check int "MF009 for missing inputs" 1 (count "MF009" no_inputs);
+  (* outputs that are all primary inputs leave no gate to time *)
+  let gateless = lint "INPUT(a)\nOUTPUT(a)\n" in
+  check int "MF009 when no gate drives an output" 1 (count "MF009" gateless);
+  let dead = lint "INPUT(a)\nOUTPUT(a)\ng = NOT(a)\n" in
+  check int "MF009 despite a (dead) gate" 1 (count "MF009" dead);
+  let mixed = lint "INPUT(a)\nOUTPUT(a)\nOUTPUT(g)\ng = NOT(a)\n" in
+  check int "one driven output suffices" 0 (count "MF009" mixed)
 
 let test_mf010_bad_arity () =
   let fs = lint "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n" in

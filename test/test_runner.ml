@@ -970,6 +970,36 @@ let test_preflight_quarantines_lint_failure () =
      go 0);
   rm_rf dir
 
+(* no gate drives the output: nothing to time, so the circuit must be
+   refused as typed bad input before any model is built — by the shared
+   gate ([minflo size] runs it too) and by the batch pre-flight *)
+let test_preflight_refuses_gateless_circuit () =
+  let dir = fresh_dir "preflight-gateless" in
+  let file = Filename.concat dir "gateless.bench" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc "INPUT(a)\nOUTPUT(a)\n");
+  (match Job.lint_error file with
+  | Some (Diag.Lint_error { rule; _ }) -> check string "rule" "MF009" rule
+  | _ -> Alcotest.fail "expected a typed MF009 lint error");
+  let job = { Job.circuit = file; factor = 0.6; solver = `Simplex } in
+  let cfg =
+    { Batch.default_config with
+      checkpoint_dir = Some dir;
+      supervise = sup ~isolate:false () }
+  in
+  (match Batch.run ~config:cfg [ job ] with
+  | Error e -> Alcotest.failf "batch: %s" (Diag.to_string e)
+  | Ok s -> (
+    match s.Batch.reports with
+    | [ r ] -> (
+      check bool "quarantined" true r.Batch.quarantined;
+      check int "zero attempts" 0 r.Batch.attempts;
+      match r.Batch.outcome with
+      | Some (Error e) -> check string "typed" "lint-error" (Diag.error_code e)
+      | _ -> Alcotest.fail "expected a typed error")
+    | _ -> Alcotest.fail "expected one report"));
+  rm_rf dir
+
 let test_preflight_can_be_disabled () =
   let dir = fresh_dir "preflight-off" in
   let file = cyclic_bench_file dir in
@@ -1072,6 +1102,8 @@ let () =
       ( "preflight",
         [ Alcotest.test_case "lint failure quarantined without a fork" `Quick
             test_preflight_quarantines_lint_failure;
+          Alcotest.test_case "gateless circuit refused typed" `Quick
+            test_preflight_refuses_gateless_circuit;
           Alcotest.test_case "gate can be disabled" `Quick
             test_preflight_can_be_disabled ] );
       ( "differential",

@@ -617,6 +617,31 @@ let test_e2e_loadgen_mix () =
   | _ -> Alcotest.fail "daemon did not drain cleanly");
   rm_rf dir
 
+(* a circuit in which no gate drives an output has no timing sink: the
+   admission lint gate must answer it with a typed error, and the daemon
+   must keep serving *)
+let test_e2e_gateless_submit_is_typed () =
+  let dir = fresh_dir "serve-gateless" in
+  let file = Filename.concat dir "gateless.bench" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc "INPUT(a)\nOUTPUT(a)\n");
+  let cfg = daemon_cfg dir in
+  let pid = start_daemon cfg in
+  wait_ready cfg;
+  let r = rpc cfg (Protocol.Submit (submit_spec file)) in
+  check (Alcotest.option Alcotest.bool) "rejected" (Some false)
+    (Json.bool_field "ok" r);
+  check (Alcotest.option string) "typed lint error" (Some "lint-error")
+    (Json.str_field "code" r);
+  let health = rpc cfg Protocol.Health in
+  check (Alcotest.option Alcotest.bool) "still healthy" (Some true)
+    (Json.bool_field "ok" health);
+  ignore (rpc cfg Protocol.Drain);
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not drain cleanly");
+  rm_rf dir
+
 (* the actual TCP endpoint (port 0 resolved) from the serve-start line *)
 let tcp_endpoint_of_journal cfg =
   let path = Filename.concat cfg.Server.run_dir "journal.jsonl" in
@@ -1043,6 +1068,8 @@ let () =
             test_e2e_sigkill_restart_recovers;
           Alcotest.test_case "second daemon is locked out" `Quick
             test_e2e_second_daemon_locked;
+          Alcotest.test_case "gateless submit is a typed lint error" `Quick
+            test_e2e_gateless_submit_is_typed;
           Alcotest.test_case "loadgen mix reaches terminal states" `Quick
             test_e2e_loadgen_mix;
           Alcotest.test_case "tcp transport fronts the same daemon" `Quick
