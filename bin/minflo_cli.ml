@@ -1924,22 +1924,22 @@ let torture_cmd =
           (fun key ->
             Journal.event jr ~job:key
               ~fields:
-                [ Journal.field_str "circuit" circuit_spec;
-                  Journal.field_float "factor" trace_factor;
-                  Journal.field_str "solver" "simplex" ]
+                [ ("circuit", Json.Str circuit_spec);
+                  ("factor", Json.float trace_factor);
+                  ("solver", Json.Str "simplex") ]
               "serve-accepted")
           serve_keys;
         Journal.event jr ~job:"torture-done"
           ~fields:
-            [ Journal.field_float "area" 42.0;
-              Journal.field_float "area_ratio" 1.5;
-              Journal.field_float "cp" trace_target;
-              Journal.field_float "target" trace_target;
-              Journal.field_bool "met" true;
-              Journal.field_int "iterations" 3;
-              Journal.field_float "saving_pct" 7.5;
-              Journal.field_str "stop" "converged";
-              Journal.field_bool "resumed" false ]
+            [ ("area", Json.Num 42.0);
+              ("area_ratio", Json.Num 1.5);
+              ("cp", Json.float trace_target);
+              ("target", Json.float trace_target);
+              ("met", Json.Bool true);
+              ("iterations", Json.Num 3.0);
+              ("saving_pct", Json.Num 7.5);
+              ("stop", Json.Str "converged");
+              ("resumed", Json.Bool false) ]
           "job-result";
         Journal.close jr
     in
@@ -2004,18 +2004,29 @@ let torture_cmd =
       let add fmt =
         Printf.ksprintf (fun s -> violations := s :: !violations) fmt
       in
-      (* every surviving journal line is a complete JSON record: a line
-         torn by the crash must never parse as a (wrong) event *)
+      (* a crash tears at most the line it interrupted: of the raw lines
+         on disk only the last (after the final newline: empty, or the
+         torn one) may fail to parse *)
       List.iter
         (fun journal ->
-          List.iter
-            (fun (_event, line) ->
+          let lines =
+            match Io.read_file journal with
+            | Ok text -> String.split_on_char '\n' text
+            | Error _ when not (Sys.file_exists journal) -> []
+            | Error e ->
+              add "%s: unreadable: %s" journal (Diag.to_string e);
+              []
+          in
+          let last = List.length lines - 1 in
+          List.iteri
+            (fun i line ->
               match Json.parse line with
               | Ok _ -> ()
+              | Error _ when i = last -> ()
               | Error msg ->
-                add "%s: surviving line does not parse (%s): %s" journal msg
+                add "%s: line %d does not parse (%s): %s" journal (i + 1) msg
                   line)
-            (Journal.scan journal))
+            lines)
         [ batch_journal; serve_journal ];
       (* checkpoints load or are rejected typed — never an exception, never
          a half-parse *)

@@ -1,60 +1,6 @@
 module Raw = Minflo_netlist.Raw
 
-(* minimal JSON document builder; enough for SARIF, no external deps *)
-type json =
-  | Str of string
-  | Int of int
-  | Arr of json list
-  | Obj of (string * json) list
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_buffer buf json =
-  let pad n = Buffer.add_string buf (String.make n ' ') in
-  let rec go indent = function
-    | Str s -> Buffer.add_string buf (Printf.sprintf "\"%s\"" (escape s))
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Arr [] -> Buffer.add_string buf "[]"
-    | Arr items ->
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
-          go (indent + 2) item)
-        items;
-      Buffer.add_char buf '\n';
-      pad indent;
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
-          Buffer.add_string buf (Printf.sprintf "\"%s\": " (escape k));
-          go (indent + 2) v)
-        fields;
-      Buffer.add_char buf '\n';
-      pad indent;
-      Buffer.add_char buf '}'
-  in
-  go 0 json
+open Minflo_util.Json
 
 let schema_uri =
   "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
@@ -83,24 +29,24 @@ let result_json (f : Finding.t) =
         (if f.loc.Raw.line > 0 then
            [ ( "region",
                Obj
-                 (("startLine", Int f.loc.Raw.line)
+                 (("startLine", int f.loc.Raw.line)
                  ::
                  (if f.loc.Raw.col > 0 then
-                    [ ("startColumn", Int f.loc.Raw.col) ]
+                    [ ("startColumn", int f.loc.Raw.col) ]
                   else [])) ) ]
          else [])
       in
-      [ ("locations", Arr [ Obj [ ("physicalLocation", Obj physical) ] ]) ]
+      [ ("locations", List [ Obj [ ("physicalLocation", Obj physical) ] ]) ]
   in
   let properties =
     if f.related = [] then []
     else
       [ ( "properties",
-          Obj [ ("related", Arr (List.map (fun s -> Str s) f.related)) ] ) ]
+          Obj [ ("related", List (List.map (fun s -> Str s) f.related)) ] ) ]
   in
   Obj
     ([ ("ruleId", Str f.rule.id);
-       ("ruleIndex", Int (rule_index f.rule));
+       ("ruleIndex", int (rule_index f.rule));
        ("level", Str (Rule.sarif_level f.rule.severity));
        ("message", Obj [ ("text", Str f.message) ]) ]
     @ location @ properties)
@@ -111,7 +57,7 @@ let render ?(tool_version = "0.1.0") findings =
       [ ("$schema", Str schema_uri);
         ("version", Str "2.1.0");
         ( "runs",
-          Arr
+          List
             [ Obj
                 [ ( "tool",
                     Obj
@@ -121,11 +67,8 @@ let render ?(tool_version = "0.1.0") findings =
                               ("version", Str tool_version);
                               ( "informationUri",
                                 Str "https://github.com/minflo/minflo" );
-                              ("rules", Arr (List.map rule_json Rule.all)) ] )
+                              ("rules", List (List.map rule_json Rule.all)) ] )
                       ] );
-                  ("results", Arr (List.map result_json findings)) ] ] ) ]
+                  ("results", List (List.map result_json findings)) ] ] ) ]
   in
-  let buf = Buffer.create 4096 in
-  to_buffer buf doc;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  to_string doc ^ "\n"

@@ -20,7 +20,7 @@ type writer = {
 }
 
 let jfloats a = Json.List (Array.to_list (Array.map (fun f -> Json.Num f) a))
-let jints a = Json.List (Array.to_list (Array.map (fun i -> Json.Num (float_of_int i)) a))
+let jints a = Json.List (Array.to_list (Array.map Json.int a))
 
 let status_to_string = function
   | Mcf.Optimal -> "optimal"
@@ -44,23 +44,23 @@ let cap_of_float f = if f < 0.0 then Mcf.infinite_capacity else int_of_float f
 let jlp (c : Dphase.certificate) =
   let p = c.problem and s = c.solution in
   Json.Obj
-    [ ("num_nodes", Json.Num (float_of_int p.Mcf.num_nodes));
+    [ ("num_nodes", Json.int p.Mcf.num_nodes);
       ( "arcs",
         Json.List
           (Array.to_list
              (Array.map
                 (fun (a : Mcf.arc) ->
                   Json.List
-                    [ Json.Num (float_of_int a.src);
-                      Json.Num (float_of_int a.dst);
+                    [ Json.int a.src;
+                      Json.int a.dst;
                       jcap a.cap;
-                      Json.Num (float_of_int a.cost) ])
+                      Json.int a.cost ])
                 p.Mcf.arcs)) );
       ("supply", jints p.Mcf.supply);
       ("status", Json.Str (status_to_string s.Mcf.status));
       ("flow", jints s.Mcf.flow);
       ("potential", jints s.Mcf.potential);
-      ("objective", Json.Num (float_of_int s.Mcf.objective)) ]
+      ("objective", Json.int s.Mcf.objective) ]
 
 (* The first storage failure sticks and silences the rest: a trace that
    cannot be completed is worthless to the auditor, so there is no point
@@ -79,9 +79,9 @@ let create sink (model : Delay_model.t) ~circuit ~target =
   emit w
     (Json.Obj
        [ ("record", Json.Str "header");
-         ("version", Json.Num (float_of_int version));
+         ("version", Json.int version);
          ("circuit", Json.Str circuit);
-         ("n", Json.Num (float_of_int (Delay_model.num_vertices model)));
+         ("n", Json.int (Delay_model.num_vertices model));
          ("target", Json.Num target);
          ("min_size", Json.Num model.Delay_model.min_size);
          ("max_size", Json.Num model.Delay_model.max_size) ]);
@@ -94,13 +94,13 @@ let record_tilos w (t : Tilos.result) =
          ("area", Json.Num t.Tilos.area);
          ("cp", Json.Num t.Tilos.final_cp);
          ("met", Json.Bool t.Tilos.met);
-         ("bumps", Json.Num (float_of_int t.Tilos.bumps));
+         ("bumps", Json.int t.Tilos.bumps);
          ("sizes", jfloats t.Tilos.sizes) ])
 
 let record_step w (s : Engine.step) =
   let base =
     [ ("record", Json.Str "step");
-      ("iter", Json.Num (float_of_int s.Engine.step_iter));
+      ("iter", Json.int s.Engine.step_iter);
       ("solver", Json.Str s.Engine.step_solver);
       ("eta", Json.Num s.Engine.step_eta);
       ("area", Json.Num s.Engine.step_area);
@@ -123,7 +123,7 @@ let record_result w (r : Engine.result) =
          ("area", Json.Num r.Engine.area);
          ("cp", Json.Num r.Engine.cp);
          ("met", Json.Bool r.Engine.met);
-         ("iterations", Json.Num (float_of_int r.Engine.iterations));
+         ("iterations", Json.int r.Engine.iterations);
          ("stop", Json.Str (Engine.stop_reason_to_string r.Engine.stop));
          ("sizes", jfloats r.Engine.sizes) ])
 

@@ -9,7 +9,7 @@
 
     A {!log} is a severity-tagged event trail the engine threads through a
     run; it is cheap (a vector of records), deterministic, and renderable as
-    text or JSON for post-mortem analysis. *)
+    text for post-mortem analysis. *)
 
 type severity = Debug | Info | Warning | Error
 
@@ -140,8 +140,10 @@ val to_string : error -> string
 
 val pp : Format.formatter -> error -> unit
 
-val to_json : error -> string
-(** One-line JSON object [{"code": …, …}] with the constructor's fields. *)
+val to_json : error -> Minflo_util.Json.t
+(** JSON object [{"code": …, …}] with the constructor's fields; a
+    non-finite float field is kept as its ["%h"] string
+    ({!Minflo_util.Json.float}). *)
 
 (** {1 Event log} *)
 
@@ -165,6 +167,3 @@ val max_severity : log -> severity option
 (** [None] when the log is empty. *)
 
 val event_to_string : event -> string
-
-val log_to_json : log -> string
-(** JSON array of event objects. *)

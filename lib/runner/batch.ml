@@ -1,4 +1,5 @@
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 module Budget = Minflo_robust.Budget
 module Tech = Minflo_tech.Tech
 module Tilos = Minflo_sizing.Tilos
@@ -62,7 +63,7 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
     emit_event
       ~fields:
         (List.map
-           (fun (k, v) -> Journal.field_int k v)
+           (fun (k, v) -> (k, Json.int v))
            (Minflo_robust.Perf.to_fields spent))
       "job-perf"
   in
@@ -82,9 +83,9 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
     let save_checkpoint budget tilos snap =
       emit_event
         ~fields:
-          [ Journal.field_int "iter" snap.Minflotransit.snap_iter;
-            Journal.field_float "area" snap.Minflotransit.snap_area;
-            Journal.field_float "eta" snap.Minflotransit.snap_eta ]
+          [ ("iter", Json.int snap.Minflotransit.snap_iter);
+            ("area", Json.float snap.Minflotransit.snap_area);
+            ("eta", Json.float snap.Minflotransit.snap_eta) ]
         "job-checkpoint";
       match ckpt with
       | None -> ()
@@ -110,8 +111,8 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
         | Error e ->
           emit_event
             ~fields:
-              [ Journal.field_str "code" (Diag.error_code e);
-                Journal.field_str "detail" (Diag.to_string e) ]
+              [ ("code", Json.Str (Diag.error_code e));
+                ("detail", Json.Str (Diag.to_string e)) ]
             "job-checkpoint-failed")
     in
     let finish ~resumed (r : Minflotransit.result) =
@@ -223,7 +224,7 @@ let run ?(config = default_config) jobs =
       | Some jr ->
         let seal name code _ =
           Journal.event jr
-            ~fields:[ Journal.field_str "signal" name ]
+            ~fields:[ ("signal", Json.Str name) ]
             "run-interrupted";
           Journal.close jr;
           exit code
@@ -255,10 +256,10 @@ let run ?(config = default_config) jobs =
     | Some jr ->
       Journal.event jr
         ~fields:
-          [ Journal.field_int "jobs" (List.length jobs);
-            Journal.field_int "skipped" (List.length jobs - List.length to_run);
-            Journal.field_bool "resume" config.resume;
-            Journal.field_bool "differential" config.differential ]
+          [ ("jobs", Json.int (List.length jobs));
+            ("skipped", Json.int (List.length jobs - List.length to_run));
+            ("resume", Json.Bool config.resume);
+            ("differential", Json.Bool config.differential) ]
         "batch-start"
     | None -> ());
     (* pre-flight lint gate: a parse or lint error is structural — the
@@ -339,11 +340,11 @@ let run ?(config = default_config) jobs =
       | Ok oc, Some jr ->
         Journal.event jr ~job:id
           ~fields:
-            [ Journal.field_float "area" oc.Job.area;
-              Journal.field_float "area_ratio" oc.Job.area_ratio;
-              Journal.field_bool "met" oc.Job.met;
-              Journal.field_int "iterations" oc.Job.iterations;
-              Journal.field_bool "resumed" oc.Job.resumed ]
+            [ ("area", Json.float oc.Job.area);
+              ("area_ratio", Json.float oc.Job.area_ratio);
+              ("met", Json.Bool oc.Job.met);
+              ("iterations", Json.int oc.Job.iterations);
+              ("resumed", Json.Bool oc.Job.resumed) ]
           "job-ok"
       | _ -> ()
     in
@@ -430,10 +431,10 @@ let run ?(config = default_config) jobs =
     | Some jr ->
       Journal.event jr
         ~fields:
-          [ Journal.field_int "ok" summary.ok;
-            Journal.field_int "failed" summary.failed;
-            Journal.field_int "skipped" summary.skipped;
-            Journal.field_int "mismatches" summary.mismatches ]
+          [ ("ok", Json.int summary.ok);
+            ("failed", Json.int summary.failed);
+            ("skipped", Json.int summary.skipped);
+            ("mismatches", Json.int summary.mismatches) ]
         "batch-end";
       Journal.close jr
     | None -> ());

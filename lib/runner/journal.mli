@@ -2,16 +2,17 @@
 
     Every job event the supervisor observes — start, attempt, retry,
     success, quarantine, timeout, differential verdict — is one JSON
-    object per line, appended, flushed and fsynced before the runner
-    proceeds, so the journal is a faithful prefix of the run even after a
-    SIGKILL. Typed errors are embedded verbatim with
-    {!Minflo_robust.Diag.to_json}, so scripts can key on the same stable
-    [code] fields the CLI exit codes are derived from.
+    object per line, printed by {!Minflo_util.Json.to_string}, appended,
+    flushed and fsynced before the runner proceeds, so the journal is a
+    faithful prefix of the run even after a SIGKILL. Typed errors are
+    embedded as {!Minflo_robust.Diag.to_json} objects, so scripts can key
+    on the same stable [code] fields the CLI exit codes are derived from.
 
     The journal doubles as the batch's completion record: on [--resume],
     {!completed} scans an existing journal and returns the jobs that
-    already finished, which the runner then skips. A line truncated by a
-    crash mid-write is ignored by the scanner. *)
+    already finished, which the runner then skips. Reading goes through
+    {!Minflo_util.Json.parse}: a line truncated by a crash mid-write does
+    not parse and is ignored. *)
 
 type t
 
@@ -27,13 +28,13 @@ val event :
   t ->
   ?job:string ->
   ?error:Minflo_robust.Diag.error ->
-  ?fields:(string * string) list ->
+  ?fields:(string * Minflo_util.Json.t) list ->
   string ->
   unit
 (** [event t ~job ~error ~fields name] appends one line
-    [{"event": name, "t": seconds, "job": …, …fields, "error": {…}}] and
-    fsyncs it. [fields] values must already be rendered JSON (use
-    {!field_str} / {!field_float} / {!field_int}). Write failures are
+    [{"event":name,"seq":n,"t":seconds,"job":…,…fields,"code":…,"error":{…}}]
+    and fsyncs it. A float field that may be non-finite should be built
+    with {!Minflo_util.Json.float}, which keeps it readable. Write failures are
     silent — journaling must never kill the run it documents — but the
     typed error is remembered (see {!last_error}). All bytes go through the
     instrumented {!Minflo_robust.Io} layer, so [io.*] fault sites and the
@@ -43,7 +44,7 @@ val event_checked :
   t ->
   ?job:string ->
   ?error:Minflo_robust.Diag.error ->
-  ?fields:(string * string) list ->
+  ?fields:(string * Minflo_util.Json.t) list ->
   string ->
   (unit, Minflo_robust.Diag.error) result
 (** Like {!event}, but reports the write/fsync failure to the caller —
@@ -55,37 +56,29 @@ val last_error : t -> Minflo_robust.Diag.error option
 (** The most recent append failure swallowed by {!event} ([None] when every
     append so far landed). *)
 
-val field_str : string -> string -> string * string
-val field_float : string -> float -> string * string
-val field_int : string -> int -> string * string
-val field_bool : string -> bool -> string * string
-
 val close : t -> unit
 
 val completed : string -> (string, float) Hashtbl.t
 (** [completed path] scans the journal for ["job-ok"] events and returns
-    job id -> final area. Missing file means an empty table; malformed or
-    truncated lines are skipped. *)
+    their top-level [job] id -> final [area]. Missing file means an empty
+    table; lines that do not parse are skipped. *)
 
 val canonical : string -> string list
-(** The journal's lines in canonical form: volatile fields ([seq], [t],
-    [backoff_seconds], [pid]) removed, truncated lines dropped, and lines stably
-    sorted by their [job] field (lines without one first, in original
-    order). Two runs of the same batch are equivalent iff their canonical
-    journals are equal — in particular, [-j N] reorders events {e between}
-    jobs but never within one, so the canonical journal of a parallel run
-    is bit-identical to the sequential run's. The test-suite and the batch
+(** The journal's lines in canonical form: the lines {!scan} keeps, with
+    volatile top-level fields ([seq], [t], [backoff_seconds], [pid])
+    removed, reprinted, and stably sorted by their top-level [job] field
+    (lines without one first, in original order; a [job] inside an
+    embedded error object does not count). Two runs of the same batch are
+    equivalent iff their canonical journals are equal — in particular,
+    [-j N] reorders events {e between} jobs but never within one, so the
+    canonical journal of a parallel run is bit-identical to the sequential
+    run's. The test-suite and the batch
     differential rely on exactly this. *)
 
-val scan : string -> (string * string) list
-(** [scan path] returns every complete event line as [(event, line)], in
-    journal order; truncated lines are dropped. Use {!find_field} to pull
-    individual fields back out of a line. Missing file means an empty
-    list. This is the serve daemon's recovery substrate: accepted-but-
-    unfinished jobs are exactly those with an acceptance event and no
-    terminal event. *)
-
-val find_field : string -> string -> string option
-(** [find_field line key] extracts [key]'s value from a line this module
-    wrote: quoted strings are unescaped, bare tokens returned verbatim.
-    Not a general JSON parser — it only reads back {!event}'s output. *)
+val scan : string -> (string * Minflo_util.Json.t) list
+(** [scan path] returns every line that parses as a JSON object with a
+    string [event] field as [(event, object)], in journal order; read
+    fields back with {!Minflo_util.Json.member} and its typed accessors.
+    Torn lines are dropped; a missing file means an empty list. This is
+    the serve daemon's recovery substrate: accepted-but-unfinished jobs
+    are exactly those with an acceptance event and no terminal event. *)

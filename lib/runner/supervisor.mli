@@ -49,13 +49,12 @@ type 'a outcome = {
   quarantined : bool;   (** failed deterministically; retries withheld. *)
 }
 
-type emit = ?fields:(string * string) list -> string -> unit
-(** A worker's channel for journal events. Field values must be
-    pre-rendered JSON ({!Journal.field_str} and friends). In isolated mode
-    the event crosses a dedicated worker->parent pipe and the {e parent}
-    appends it (the journal stays single-writer, so its crash-safety
-    guarantees survive any parallelism level); in-process mode appends
-    directly. Events carry the task's id as their [job] field. All events
+type emit = ?fields:(string * Minflo_util.Json.t) list -> string -> unit
+(** A worker's channel for journal events. In isolated mode the event
+    crosses a dedicated worker->parent pipe as one JSON object per line
+    and the {e parent} appends it (the journal stays single-writer, so its
+    crash-safety guarantees survive any parallelism level); in-process mode
+    appends directly. Events carry the task's id as their [job] field. All events
     a worker emitted are journaled before the task's verdict event, so
     within-job event order is deterministic regardless of [parallel]. *)
 

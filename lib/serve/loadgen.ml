@@ -171,15 +171,15 @@ let run (cfg : config) : (Json.t, Diag.error) result =
                    (float_of_int
                       (cfg.count + cfg.lint_bad + cfg.tiny_budget)) );
                ( "accepted",
-                 Json.Num (float_of_int (List.length !accepted)) );
-               ("resubmitted", Json.Num (float_of_int !resubmitted));
-               ("overloaded", Json.Num (float_of_int !overloaded));
-               ("draining", Json.Num (float_of_int !draining));
-               ("lint_rejected", Json.Num (float_of_int !lint_rejected));
-               ("other_rejected", Json.Num (float_of_int !other_rejected));
-               ("done", Json.Num (float_of_int (count "done")));
-               ("failed", Json.Num (float_of_int (count "failed")));
-               ("cancelled", Json.Num (float_of_int (count "cancelled")));
+                 Json.int (List.length !accepted) );
+               ("resubmitted", Json.int !resubmitted);
+               ("overloaded", Json.int !overloaded);
+               ("draining", Json.int !draining);
+               ("lint_rejected", Json.int !lint_rejected);
+               ("other_rejected", Json.int !other_rejected);
+               ("done", Json.int (count "done"));
+               ("failed", Json.int (count "failed"));
+               ("cancelled", Json.int (count "cancelled"));
                ("latency_p50_seconds", Json.Num (latency_percentile 50.0));
                ("latency_p99_seconds", Json.Num (latency_percentile 99.0));
                ("stats", stats) ])))

@@ -54,10 +54,10 @@ let submit_to_json (s : submit) =
       | Some v -> [ ("max_seconds", Json.Num v) ]
       | None -> [])
     @ (match s.max_iterations with
-      | Some v -> [ ("max_iterations", Json.Num (float_of_int v)) ]
+      | Some v -> [ ("max_iterations", Json.int v) ]
       | None -> [])
     @ (match s.max_pivots with
-      | Some v -> [ ("max_pivots", Json.Num (float_of_int v)) ]
+      | Some v -> [ ("max_pivots", Json.int v) ]
       | None -> [])
     @
     if s.sleep_seconds > 0.0 then
@@ -144,7 +144,7 @@ let error_response ?(fields = []) (e : Diag.error) =
     ([ ("ok", Json.Bool false);
        ("code", Json.Str (Diag.error_code e));
        ("message", Json.Str (Diag.to_string e));
-       ("error", Json.Raw (Diag.to_json e)) ]
+       ("error", Diag.to_json e) ]
     @ fields)
 
 let bad_request msg =

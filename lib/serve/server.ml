@@ -44,7 +44,7 @@ let default_config =
 type failure = {
   f_code : string;
   f_message : string;
-  f_raw : string;  (* pre-rendered JSON error object *)
+  f_error : Json.t;  (* the Diag.to_json object *)
   f_quarantined : bool;
 }
 
@@ -91,7 +91,7 @@ let outcome_fields key (spec : Protocol.submit) (o : Job.outcome) =
     ("cp", Json.Num o.cp);
     ("target", Json.Num o.target);
     ("met", Json.Bool o.met);
-    ("iterations", Json.Num (float_of_int o.iterations));
+    ("iterations", Json.int o.iterations);
     ("saving_pct", Json.Num o.saving_pct);
     ("stop", Json.Str o.stop);
     ("resumed", Json.Bool o.resumed) ]
@@ -99,56 +99,39 @@ let outcome_fields key (spec : Protocol.submit) (o : Job.outcome) =
 let journal_result jr key (o : Job.outcome) =
   Journal.event_checked jr ~job:key
     ~fields:
-      [ Journal.field_float "area" o.area;
-        Journal.field_float "area_ratio" o.area_ratio;
-        Journal.field_float "cp" o.cp;
-        Journal.field_float "target" o.target;
-        Journal.field_bool "met" o.met;
-        Journal.field_int "iterations" o.iterations;
-        Journal.field_float "saving_pct" o.saving_pct;
-        Journal.field_str "stop" o.stop;
-        Journal.field_bool "resumed" o.resumed ]
+      [ ("area", Json.float o.area);
+        ("area_ratio", Json.float o.area_ratio);
+        ("cp", Json.float o.cp);
+        ("target", Json.float o.target);
+        ("met", Json.Bool o.met);
+        ("iterations", Json.int o.iterations);
+        ("saving_pct", Json.float o.saving_pct);
+        ("stop", Json.Str o.stop);
+        ("resumed", Json.Bool o.resumed) ]
     "job-result"
-
-(* the [error] object is always the last field [Journal.event] writes, so
-   the raw JSON between its key and the line's closing brace is the whole
-   (possibly nested) object *)
-let extract_raw_error line =
-  let pat = "\"error\": " in
-  let ll = String.length line and lp = String.length pat in
-  let rec search i =
-    if i + lp > ll then None
-    else if String.sub line i lp = pat then Some (i + lp)
-    else search (i + 1)
-  in
-  match search 0 with
-  | Some start when ll > start + 1 -> String.sub line start (ll - start - 1)
-  | _ -> "{}"
 
 (* ---------- recovery: rebuild the job table from a previous life ---------- *)
 
-let recover_submit line : Protocol.submit option =
+let recover_submit j : Protocol.submit option =
   match
-    ( Journal.find_field line "circuit",
-      Option.bind (Journal.find_field line "factor") float_of_string_opt,
-      Option.bind (Journal.find_field line "solver") Job.solver_of_string )
+    ( Json.str_field "circuit" j,
+      Json.float_field "factor" j,
+      Option.bind (Json.str_field "solver" j) Job.solver_of_string )
   with
   | Some circuit, Some factor, Some solver ->
-    let num key = Option.bind (Journal.find_field line key) float_of_string_opt in
-    let int key = Option.bind (Journal.find_field line key) int_of_string_opt in
     Some
       { Protocol.circuit;
         factor;
         solver;
-        max_seconds = num "max_seconds";
-        max_iterations = int "max_iterations";
-        max_pivots = int "max_pivots";
-        sleep_seconds = Option.value (num "sleep_seconds") ~default:0.0 }
+        max_seconds = Json.float_field "max_seconds" j;
+        max_iterations = Json.int_field "max_iterations" j;
+        max_pivots = Json.int_field "max_pivots" j;
+        sleep_seconds =
+          Option.value (Json.float_field "sleep_seconds" j) ~default:0.0 }
   | _ -> None
 
-let recover_done_fields key spec line =
-  let num k = Option.bind (Journal.find_field line k) float_of_string_opt in
-  let bool k = Option.bind (Journal.find_field line k) bool_of_string_opt in
+let recover_done_fields key spec j =
+  let num k = Json.float_field k j and bool k = Json.bool_field k j in
   match
     ( num "area",
       num "area_ratio",
@@ -156,8 +139,8 @@ let recover_done_fields key spec line =
       num "target",
       bool "met",
       num "saving_pct",
-      Option.bind (Journal.find_field line "iterations") int_of_string_opt,
-      Journal.find_field line "stop",
+      Json.int_field "iterations" j,
+      Json.str_field "stop" j,
       bool "resumed" )
   with
   | ( Some area,
@@ -199,13 +182,13 @@ let recover_table journal_path =
   in
   let order = ref [] in
   List.iter
-    (fun (event, line) ->
-      match Journal.find_field line "job" with
+    (fun (event, j) ->
+      match Json.str_field "job" j with
       | None -> ()
       | Some key -> (
         match event with
         | "serve-accepted" -> (
-          match recover_submit line with
+          match recover_submit j with
           | None -> ()
           | Some spec -> (
             match Hashtbl.find_opt table key with
@@ -219,7 +202,7 @@ let recover_table journal_path =
         | "job-result" -> (
           match Hashtbl.find_opt table key with
           | Some e -> (
-            match recover_done_fields key e.spec line with
+            match recover_done_fields key e.spec j with
             | Some fields ->
               e.state <- Done;
               Hashtbl.replace results key fields
@@ -230,13 +213,14 @@ let recover_table journal_path =
           match Hashtbl.find_opt table key with
           | Some e ->
             let code =
-              Option.value (Journal.find_field line "code") ~default:"internal"
+              Option.value (Json.str_field "code" j) ~default:"internal"
             in
             e.state <-
               Failed
                 { f_code = code;
                   f_message = code;
-                  f_raw = extract_raw_error line;
+                  f_error =
+                    Option.value (Json.member "error" j) ~default:(Json.Obj []);
                   f_quarantined = event <> "job-failed" }
           | None -> ())
         | "job-cancelled" -> (
@@ -438,17 +422,17 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       let t0 = Mono.now () in
       Journal.event jr
         ~fields:
-          ([ Journal.field_str "socket" cfg.socket_path;
-             Journal.field_int "parallel" cfg.parallel;
-             Journal.field_int "queue_capacity" cfg.queue_capacity;
-             Journal.field_int "cache_bytes" cfg.cache_bytes;
-             Journal.field_int "pid" (Unix.getpid ()) ]
+          ([ ("socket", Json.Str cfg.socket_path);
+             ("parallel", Json.int cfg.parallel);
+             ("queue_capacity", Json.int cfg.queue_capacity);
+             ("cache_bytes", Json.int cfg.cache_bytes);
+             ("pid", Json.int (Unix.getpid ())) ]
           @
           (* journal the *actual* TCP endpoint: with port 0 this is how
              anyone — tests included — learns which port the kernel gave *)
           match tcp_listen with
           | Some (_, actual) ->
-            [ Journal.field_str "tcp" (Transport.to_string actual) ]
+            [ ("tcp", Json.Str (Transport.to_string actual)) ]
           | None -> [])
         "serve-start";
       let cache : (string * Json.t) list Result_cache.t =
@@ -483,9 +467,9 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       if order <> [] then
         Journal.event jr
           ~fields:
-            [ Journal.field_int "jobs" (List.length order);
-              Journal.field_int "requeued" !requeued;
-              Journal.field_int "cached" !cached ]
+            [ ("jobs", Json.int (List.length order));
+              ("requeued", Json.int !requeued);
+              ("cached", Json.int !cached) ]
           "serve-recovered";
       let pool : Job.outcome Supervisor.pool =
         Supervisor.pool_create
@@ -514,7 +498,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
           [ ("ok", Json.Bool false);
             ("code", Json.Str "storage-error");
             ("message", Json.Str (Diag.to_string e));
-            ("error", Json.Raw (Diag.to_json e)) ]
+            ("error", Diag.to_json e) ]
       in
       let enter_degraded e =
         if !degraded = None then begin
@@ -542,7 +526,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
         if not !draining then begin
           draining := true;
           Journal.event jr
-            ~fields:[ Journal.field_str "reason" reason ]
+            ~fields:[ ("reason", Json.Str reason) ]
             "serve-drain-start"
         end
       in
@@ -555,12 +539,12 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
         | None ->
           let found = ref None in
           List.iter
-            (fun (event, line) ->
+            (fun (event, j) ->
               if
                 event = "job-result"
-                && Journal.find_field line "job" = Some entry.key
+                && Json.str_field "job" j = Some entry.key
               then
-                match recover_done_fields entry.key entry.spec line with
+                match recover_done_fields entry.key entry.spec j with
                 | Some fields -> found := Some fields
                 | None -> ())
             (Journal.scan journal_path);
@@ -592,7 +576,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
               ("state", Json.Str "failed");
               ("code", Json.Str f.f_code);
               ("message", Json.Str f.f_message);
-              ("error", Json.Raw f.f_raw);
+              ("error", f.f_error);
               ("quarantined", Json.Bool f.f_quarantined) ]
         | Cancelled ->
           Json.Obj
@@ -640,7 +624,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
               Failed
                 { f_code = Diag.error_code e;
                   f_message = Diag.to_string e;
-                  f_raw = Diag.to_json e;
+                  f_error = Diag.to_json e;
                   f_quarantined = o.Supervisor.quarantined });
           notify_waiters entry
       in
@@ -710,21 +694,21 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       let journal_accepted key (s : Protocol.submit) =
         Journal.event_checked jr ~job:key
           ~fields:
-            ([ Journal.field_str "circuit" s.circuit;
-               Journal.field_float "factor" s.factor;
-               Journal.field_str "solver" (Job.solver_name s.solver) ]
+            ([ ("circuit", Json.Str s.circuit);
+               ("factor", Json.float s.factor);
+               ("solver", Json.Str (Job.solver_name s.solver)) ]
             @ (match s.max_seconds with
-              | Some v -> [ Journal.field_float "max_seconds" v ]
+              | Some v -> [ ("max_seconds", Json.float v) ]
               | None -> [])
             @ (match s.max_iterations with
-              | Some v -> [ Journal.field_int "max_iterations" v ]
+              | Some v -> [ ("max_iterations", Json.int v) ]
               | None -> [])
             @ (match s.max_pivots with
-              | Some v -> [ Journal.field_int "max_pivots" v ]
+              | Some v -> [ ("max_pivots", Json.int v) ]
               | None -> [])
             @
             if s.sleep_seconds > 0.0 then
-              [ Journal.field_float "sleep_seconds" s.sleep_seconds ]
+              [ ("sleep_seconds", Json.float s.sleep_seconds) ]
             else [])
           "serve-accepted"
       in
@@ -781,7 +765,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
                     Failed
                       { f_code = Diag.error_code e;
                         f_message = Diag.to_string e;
-                        f_raw = Diag.to_json e;
+                        f_error = Diag.to_json e;
                         f_quarantined = true };
                   cancelling = false }
               in
@@ -808,7 +792,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
                       Failed
                         { f_code = Diag.error_code e;
                           f_message = Diag.to_string e;
-                          f_raw = Diag.to_json e;
+                          f_error = Diag.to_json e;
                           f_quarantined = true };
                     cancelling = false }
                 in
@@ -851,7 +835,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
                 Protocol.ok
                   [ ("id", Json.Str key);
                     ("state", Json.Str "queued");
-                    ("position", Json.Num (float_of_int (Bounded_queue.length admission))) ]))
+                    ("position", Json.int (Bounded_queue.length admission)) ]))
       in
       let handle_cancel id =
         match Hashtbl.find_opt table id with
@@ -907,40 +891,40 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
         let q, r, d, f, c = job_counts () in
         let counters = Perf.add (Perf.snapshot ()) !worker_perf in
         Protocol.ok
-          [ ("pid", Json.Num (float_of_int (Unix.getpid ())));
+          [ ("pid", Json.int (Unix.getpid ()));
             ("uptime_seconds", Json.Num (Mono.now () -. t0));
             ("draining", Json.Bool !draining);
             ("degraded", Json.Bool (!degraded <> None));
             ( "jobs",
               Json.Obj
-                [ ("queued", Json.Num (float_of_int q));
-                  ("running", Json.Num (float_of_int r));
-                  ("done", Json.Num (float_of_int d));
-                  ("failed", Json.Num (float_of_int f));
-                  ("cancelled", Json.Num (float_of_int c)) ] );
+                [ ("queued", Json.int q);
+                  ("running", Json.int r);
+                  ("done", Json.int d);
+                  ("failed", Json.int f);
+                  ("cancelled", Json.int c) ] );
             ( "queue",
               Json.Obj
                 [ ( "depth",
-                    Json.Num (float_of_int (Bounded_queue.length admission)) );
+                    Json.int (Bounded_queue.length admission) );
                   ( "capacity",
-                    Json.Num (float_of_int (Bounded_queue.capacity admission))
+                    Json.int (Bounded_queue.capacity admission)
                   );
-                  ("peak", Json.Num (float_of_int (Bounded_queue.peak admission)))
+                  ("peak", Json.int (Bounded_queue.peak admission))
                 ] );
             ( "cache",
               Json.Obj
                 [ ( "entries",
-                    Json.Num (float_of_int (Result_cache.entries cache)) );
-                  ("bytes", Json.Num (float_of_int (Result_cache.bytes cache)));
+                    Json.int (Result_cache.entries cache) );
+                  ("bytes", Json.int (Result_cache.bytes cache));
                   ( "budget",
-                    Json.Num (float_of_int (Result_cache.budget cache)) );
+                    Json.int (Result_cache.budget cache) );
                   ( "evictions",
-                    Json.Num (float_of_int (Result_cache.evictions cache)) )
+                    Json.int (Result_cache.evictions cache) )
                 ] );
             ( "counters",
               Json.Obj
                 (List.map
-                   (fun (k, v) -> (k, Json.Num (float_of_int v)))
+                   (fun (k, v) -> (k, Json.int v))
                    (Perf.to_fields counters)) ) ]
       in
       let handle_health () =
@@ -951,7 +935,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
                 (if !degraded <> None then "degraded"
                  else if !draining then "draining"
                  else "ok") );
-            ("pid", Json.Num (float_of_int (Unix.getpid ())));
+            ("pid", Json.int (Unix.getpid ()));
             ( "in_flight",
               Json.Num
                 (float_of_int (r + Bounded_queue.length admission)) ) ]
@@ -1108,9 +1092,9 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       let _, _, d, f, c = job_counts () in
       Journal.event jr
         ~fields:
-          [ Journal.field_int "done" d;
-            Journal.field_int "failed" f;
-            Journal.field_int "cancelled" c ]
+          [ ("done", Json.int d);
+            ("failed", Json.int f);
+            ("cancelled", Json.int c) ]
         "serve-drain-complete";
       Journal.close jr;
       List.iter

@@ -5,7 +5,6 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
-  | Raw of string
 
 (* ---------- printing ---------- *)
 
@@ -64,12 +63,17 @@ let rec write buf = function
         write buf v)
       fields;
     Buffer.add_char buf '}'
-  | Raw s -> Buffer.add_string buf s
 
 let to_string v =
   let buf = Buffer.create 256 in
   write buf v;
   Buffer.contents buf
+
+let int i = Num (float_of_int i)
+
+(* non-finite values are not JSON numbers; the journal and Diag errors
+   keep them as their "%h" spelling ("nan", "infinity", "-infinity") *)
+let float v = if Float.is_finite v then Num v else Str (Printf.sprintf "%h" v)
 
 (* ---------- parsing ---------- *)
 
@@ -248,6 +252,14 @@ let member key = function
 
 let to_str = function Str s -> Some s | _ -> None
 let to_num = function Num v -> Some v | _ -> None
+
+let to_float = function
+  | Num v -> Some v
+  | Str s -> (
+    match float_of_string_opt s with
+    | Some v when not (Float.is_finite v) -> Some v
+    | _ -> None)
+  | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
 let to_int = function
@@ -257,5 +269,6 @@ let to_int = function
 
 let str_field key j = Option.bind (member key j) to_str
 let num_field key j = Option.bind (member key j) to_num
+let float_field key j = Option.bind (member key j) to_float
 let int_field key j = Option.bind (member key j) to_int
 let bool_field key j = Option.bind (member key j) to_bool

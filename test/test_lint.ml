@@ -20,6 +20,7 @@ module Simplex = Minflo_flow.Network_simplex
 module Ssp = Minflo_flow.Ssp
 module Cost_scaling = Minflo_flow.Cost_scaling
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -330,28 +331,58 @@ let test_report_text () =
   check int "exit 2 on error" 2 (Report.exit_code fs);
   check int "exit 0 clean" 0 (Report.exit_code [])
 
+(* the SARIF log parses as one JSON value on one line; the fields GitHub
+   code scanning reads sit where the schema puts them *)
 let test_sarif_shape () =
-  let doc = Sarif.render (cycle_findings ()) in
-  List.iter
-    (fun needle -> check bool needle true (contains doc needle))
-    [ "\"version\": \"2.1.0\"";
-      "sarif-schema-2.1.0";
-      "minflo-lint";
-      "\"ruleId\": \"MF001\"";
-      "\"level\": \"error\"";
-      "\"startLine\": 3";
-      "MF105" (* the whole catalog rides along in tool.driver.rules *) ];
-  let empty = Sarif.render [] in
-  check bool "empty run still a document" true
-    (contains empty "\"results\": []");
-  (* crude but effective structural check: braces and brackets balance *)
-  let balance open_c close_c s =
-    String.fold_left
-      (fun n c -> if c = open_c then n + 1 else if c = close_c then n - 1 else n)
-      0 s
+  let parse doc =
+    check bool "one line" true
+      (String.index_opt doc '\n' = Some (String.length doc - 1));
+    let line = String.sub doc 0 (String.length doc - 1) in
+    match Json.parse line with
+    | Ok j ->
+      check string "print/parse/print" line (Json.to_string j);
+      j
+    | Error msg -> Alcotest.failf "SARIF does not parse: %s" msg
   in
-  check int "braces balance" 0 (balance '{' '}' doc);
-  check int "brackets balance" 0 (balance '[' ']' doc)
+  let path keys j =
+    List.fold_left
+      (fun acc k ->
+        match (acc, int_of_string_opt k) with
+        | Some (Json.List l), Some i -> List.nth_opt l i
+        | Some v, None -> Json.member k v
+        | _ -> None)
+      (Some j) keys
+  in
+  let str keys j = Option.bind (path keys j) Json.to_str in
+  let doc = parse (Sarif.render (cycle_findings ())) in
+  let opt = Alcotest.option string in
+  check opt "version" (Some "2.1.0") (str [ "version" ] doc);
+  check bool "schema" true
+    (match str [ "$schema" ] doc with
+    | Some uri -> contains uri "sarif-schema-2.1.0"
+    | None -> false);
+  let run = [ "runs"; "0" ] in
+  check opt "driver" (Some "minflo-lint")
+    (str (run @ [ "tool"; "driver"; "name" ]) doc);
+  (* the whole catalog rides along in tool.driver.rules *)
+  check bool "MF105 in catalog" true
+    (match path (run @ [ "tool"; "driver"; "rules" ]) doc with
+    | Some (Json.List rules) ->
+      List.exists (fun r -> Json.str_field "id" r = Some "MF105") rules
+    | _ -> false);
+  let result = run @ [ "results"; "0" ] in
+  check opt "ruleId" (Some "MF001") (str (result @ [ "ruleId" ]) doc);
+  check opt "level" (Some "error") (str (result @ [ "level" ]) doc);
+  check (Alcotest.option int) "startLine" (Some 3)
+    (Option.bind
+       (path
+          (result
+          @ [ "locations"; "0"; "physicalLocation"; "region"; "startLine" ])
+          doc)
+       Json.to_int);
+  let empty = parse (Sarif.render []) in
+  check bool "empty run still a document" true
+    (path (run @ [ "results" ]) empty = Some (Json.List []))
 
 let () =
   Alcotest.run "lint"

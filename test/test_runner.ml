@@ -4,6 +4,7 @@
    differential verification. *)
 
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 module Budget = Minflo_robust.Budget
 module Fault = Minflo_robust.Fault
 module Generators = Minflo_netlist.Generators
@@ -223,12 +224,12 @@ let test_journal_completed_scan () =
   | Error e -> Alcotest.failf "open: %s" (Diag.to_string e)
   | Ok j ->
     Journal.event j ~job:"a@0.500/simplex"
-      ~fields:[ Journal.field_float "area" 12.5 ] "job-ok";
+      ~fields:[ ("area", Json.Num 12.5) ] "job-ok";
     Journal.event j ~job:"b@0.500/simplex"
       ~error:(Diag.Job_timeout { job = "b@0.500/simplex"; seconds = 1.0 })
       "job-failed";
     Journal.event j ~job:"c \"quoted\"@0.500/ssp"
-      ~fields:[ Journal.field_float "area" 99.0 ] "job-ok";
+      ~fields:[ ("area", Json.Num 99.0) ] "job-ok";
     Journal.close j);
   (* simulate a crash mid-append: a truncated trailing line *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -254,7 +255,7 @@ let test_journal_torn_line_recovery () =
   | Error e -> Alcotest.failf "open: %s" (Diag.to_string e)
   | Ok j ->
     Journal.event j ~job:"a@0.500/simplex"
-      ~fields:[ Journal.field_float "area" 1.0 ] "job-ok";
+      ~fields:[ ("area", Json.Num 1.0) ] "job-ok";
     Journal.close j);
   (* crash mid-append: the final line has no terminating newline *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -266,7 +267,7 @@ let test_journal_torn_line_recovery () =
   | Error e -> Alcotest.failf "reopen: %s" (Diag.to_string e)
   | Ok j ->
     Journal.event j ~job:"b@0.500/simplex"
-      ~fields:[ Journal.field_float "area" 2.0 ] "job-ok";
+      ~fields:[ ("area", Json.Num 2.0) ] "job-ok";
     Journal.close j);
   let table = Journal.completed path in
   check int "both intact jobs completed" 2 (Hashtbl.length table);
@@ -285,6 +286,24 @@ let test_journal_torn_line_recovery () =
   | Ok j -> Journal.close j);
   check int "clean reopen writes nothing" before (size_of path);
   rm_rf dir
+
+(* a journal in the spaced, "%.17g" byte format older releases wrote —
+   with a "%h" non-finite error field and a sealed torn line — reads back
+   to the same completion table *)
+let test_journal_legacy_format () =
+  let table = Journal.completed "fixtures/journal-legacy.jsonl" in
+  let expected =
+    [ ("c17@0.500/simplex", 1.0 /. 3.0);
+      ("c \"quoted\"\\path@0.700/auto", 123.456);
+      ("adder8.bench@0.600/simplex", 2.5e-7) ]
+  in
+  check int "completed jobs" (List.length expected) (Hashtbl.length table);
+  List.iter
+    (fun (job, area) ->
+      match Hashtbl.find_opt table job with
+      | Some a -> check_float_bits job area a
+      | None -> Alcotest.failf "job %s missing" job)
+    expected
 
 let test_checkpoint_special_floats () =
   (* the "%h" encoding must round-trip every float bit pattern the engine
@@ -563,12 +582,12 @@ let test_supervisor_sigkill_between_checkpoints_requeues () =
   in
   let thunk (emit : Supervisor.emit) =
     if Sys.file_exists marker then begin
-      emit ~fields:[ Journal.field_int "iter" 1 ] "job-checkpoint";
+      emit ~fields:[ ("iter", Json.int 1) ] "job-checkpoint";
       Ok 99
     end
     else begin
       close_out (open_out marker);
-      emit ~fields:[ Journal.field_int "iter" 0 ] "job-checkpoint";
+      emit ~fields:[ ("iter", Json.int 0) ] "job-checkpoint";
       (* give the parent's pipe a moment, then die like a crashed host *)
       Unix.sleepf 0.05;
       Unix.kill (Unix.getpid ()) Sys.sigkill;
@@ -839,6 +858,28 @@ let test_resume_supervised_batch () =
     check int "ok" 0 s.Batch.ok);
   rm_rf dir
 
+(* a job id is compared whole: a tab in the circuit path must survive the
+   journal round trip, or --resume re-runs a finished job *)
+let test_resume_skips_tab_path () =
+  let dir = fresh_dir "resume-tab" in
+  let src = Filename.concat dir "dir\tx" in
+  Unix.mkdir src 0o755;
+  let file = Filename.concat src "c17.bench" in
+  Bench_format.write_file file (Generators.c17 ());
+  let job = { Job.circuit = file; factor = 0.6; solver = `Simplex } in
+  let cfg =
+    { Batch.default_config with checkpoint_dir = Some dir; supervise = sup () }
+  in
+  (match Batch.run ~config:cfg [ job ] with
+  | Error e -> Alcotest.failf "first batch: %s" (Diag.to_string e)
+  | Ok s -> check int "ok" 1 s.Batch.ok);
+  (match Batch.run ~config:{ cfg with resume = true } [ job ] with
+  | Error e -> Alcotest.failf "resumed batch: %s" (Diag.to_string e)
+  | Ok s ->
+    check int "skipped" 1 s.Batch.skipped;
+    check int "re-run" 0 s.Batch.ok);
+  rm_rf dir
+
 let test_resume_rejects_foreign_checkpoint () =
   (* checkpoint from one circuit must not seed another *)
   let dir = fresh_dir "resume-foreign" in
@@ -1062,7 +1103,9 @@ let () =
           Alcotest.test_case "torn final line sealed on reopen" `Quick
             test_journal_torn_line_recovery;
           Alcotest.test_case "advisory lock excludes a second process" `Quick
-            test_journal_lock_excludes_second_process ] );
+            test_journal_lock_excludes_second_process;
+          Alcotest.test_case "legacy byte format reads back" `Quick
+            test_journal_legacy_format ] );
       ( "supervisor",
         [ Alcotest.test_case "isolated success" `Quick test_supervisor_ok_isolated;
           Alcotest.test_case "transient failure retries" `Quick
@@ -1097,6 +1140,8 @@ let () =
             test_resume_supervised_batch;
           Alcotest.test_case "foreign checkpoint rejected" `Quick
             test_resume_rejects_foreign_checkpoint;
+          Alcotest.test_case "completed job with a tab in its path skipped"
+            `Quick test_resume_skips_tab_path;
           Alcotest.test_case "sigterm seals the journal" `Quick
             test_batch_sigterm_seals_journal ] );
       ( "preflight",

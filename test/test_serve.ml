@@ -14,6 +14,8 @@ module Chaosproxy = Minflo_serve.Chaosproxy
 module Loadgen = Minflo_serve.Loadgen
 module Journal = Minflo_runner.Journal
 module Diag = Minflo_robust.Diag
+module Bench_format = Minflo_netlist.Bench_format
+module Generators = Minflo_netlist.Generators
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -555,6 +557,87 @@ let test_e2e_sigkill_restart_recovers () =
     (count "serve-accepted" = 2 && count "job-result" >= 2);
   rm_rf dir
 
+(* the same recovery when the in-flight submit's circuit path holds a tab:
+   the restarted daemon must key it under the id the client was given *)
+let test_e2e_sigkill_restart_tab_path () =
+  let dir = fresh_dir "serve-tab" in
+  let src = Filename.concat dir "dir\tx" in
+  Unix.mkdir src 0o755;
+  let circuit = Filename.concat src "c17.bench" in
+  Bench_format.write_file circuit (Generators.c17 ());
+  let cfg = daemon_cfg ~parallel:1 dir in
+  let pid = start_daemon cfg in
+  wait_ready cfg;
+  let key, _ = submit_ok cfg (submit_spec ~sleep:2.0 circuit) in
+  wait_state cfg key "running";
+  Unix.kill pid Sys.sigkill;
+  ignore (Unix.waitpid [] pid);
+  let pid2 = start_daemon cfg in
+  wait_ready cfg;
+  let r = rpc cfg (Protocol.Result { id = key; wait = true }) in
+  let opt = Alcotest.option string in
+  check opt "terminal under its original key" (Some "done")
+    (Json.str_field "state" r);
+  check opt "id" (Some key) (Json.str_field "id" r);
+  check opt "circuit" (Some circuit) (Json.str_field "circuit" r);
+  ignore (rpc cfg Protocol.Drain);
+  (match Unix.waitpid [] pid2 with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "restarted daemon did not drain cleanly");
+  rm_rf dir
+
+(* a journal in the byte format older releases wrote (spaced pairs,
+   "%.17g" floats, a "%h" non-finite error field, a sealed torn line)
+   rebuilds the same job table: terminal jobs answer with their recorded
+   fields, the unfinished one is requeued and runs *)
+let legacy_journal = "fixtures/journal-legacy.jsonl"
+
+let legacy_done = "c17@1.300/simplex"
+let legacy_queued = "c17@1.350/ssp#s=30,it=5,pv=100000,zz=0.25"
+
+let test_legacy_journal_recovers () =
+  check
+    (Alcotest.list (Alcotest.pair string string))
+    "recovered table"
+    [ (legacy_done, "done"); (legacy_queued, "queued");
+      ("c17@0.100/simplex", "failed"); ("c17@1.400/bellman-ford", "failed");
+      ("c17@1.450/auto", "cancelled") ]
+    (Server.recovery_snapshot legacy_journal);
+  let dir = fresh_dir "serve-legacy" in
+  let cfg = daemon_cfg ~parallel:1 dir in
+  Unix.mkdir cfg.Server.run_dir 0o755;
+  let ic = open_in_bin legacy_journal in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let oc = open_out_bin (Filename.concat cfg.Server.run_dir "journal.jsonl") in
+  output_string oc text;
+  close_out oc;
+  let pid = start_daemon cfg in
+  wait_ready cfg;
+  let result id = Json.to_string (rpc cfg (Protocol.Result { id; wait = false })) in
+  List.iter
+    (fun (id, want) -> check string id want (result id))
+    [ ( legacy_done,
+        {|{"ok":true,"id":"c17@1.300/simplex","state":"done","circuit":"c17","factor":1.3,"solver":"simplex","area":7.1234567890123452,"area_ratio":0.14285714285714285,"cp":0.30000000000000004,"target":0.3,"met":true,"iterations":4,"saving_pct":12.5,"stop":"converged","resumed":false}|}
+      );
+      ( "c17@0.100/simplex",
+        {|{"ok":false,"id":"c17@0.100/simplex","state":"failed","code":"infeasible-target","message":"infeasible-target","error":{"code":"infeasible-target","target":0.1,"lower_bound":0.2,"witness":["1","22"]},"quarantined":true}|}
+      );
+      ( "c17@1.400/bellman-ford",
+        {|{"ok":false,"id":"c17@1.400/bellman-ford","state":"failed","code":"numeric","message":"numeric","error":{"code":"numeric","what":"eta","value":"nan"},"quarantined":false}|}
+      );
+      ( "c17@1.450/auto",
+        {|{"ok":false,"id":"c17@1.450/auto","state":"cancelled","code":"cancelled"}|}
+      ) ];
+  let r = rpc cfg (Protocol.Result { id = legacy_queued; wait = true }) in
+  check (Alcotest.option string) "requeued job ran" (Some "done")
+    (Json.str_field "state" r);
+  ignore (rpc cfg Protocol.Drain);
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not drain cleanly");
+  rm_rf dir
+
 let test_e2e_second_daemon_locked () =
   let dir = fresh_dir "serve-locked" in
   let cfg = daemon_cfg dir in
@@ -647,8 +730,8 @@ let tcp_endpoint_of_journal cfg =
   let path = Filename.concat cfg.Server.run_dir "journal.jsonl" in
   match
     List.find_map
-      (fun (event, line) ->
-        if event = "serve-start" then Journal.find_field line "tcp" else None)
+      (fun (event, j) ->
+        if event = "serve-start" then Json.str_field "tcp" j else None)
       (Journal.scan path)
   with
   | None -> Alcotest.fail "serve-start journaled no tcp endpoint"
@@ -722,9 +805,9 @@ let worker_pid cfg id =
   let rec go () =
     let hit =
       List.find_map
-        (fun (event, line) ->
-          if event = "job-spawn" && Journal.find_field line "job" = Some id
-          then Option.bind (Journal.find_field line "pid") int_of_string_opt
+        (fun (event, j) ->
+          if event = "job-spawn" && Json.str_field "job" j = Some id then
+            Json.int_field "pid" j
           else None)
         (Journal.scan path)
     in
@@ -1021,9 +1104,9 @@ let test_recovery_checkpoint_dir_fault_is_typed () =
   | Ok jr ->
     Journal.event jr ~job:(Protocol.job_key spec)
       ~fields:
-        [ Journal.field_str "circuit" spec.circuit;
-          Journal.field_float "factor" spec.factor;
-          Journal.field_str "solver" "simplex" ]
+        [ ("circuit", Json.Str spec.circuit);
+          ("factor", Json.float spec.factor);
+          ("solver", Json.Str "simplex") ]
       "serve-accepted";
     Journal.close jr);
   (match Server.run ~config:cfg () with
@@ -1066,6 +1149,10 @@ let () =
             test_e2e_overload_cancel_sigterm;
           Alcotest.test_case "sigkill + restart recovers bit-identically" `Slow
             test_e2e_sigkill_restart_recovers;
+          Alcotest.test_case "sigkill + restart keeps a tab in the path" `Slow
+            test_e2e_sigkill_restart_tab_path;
+          Alcotest.test_case "legacy journal recovers the same table" `Quick
+            test_legacy_journal_recovers;
           Alcotest.test_case "second daemon is locked out" `Quick
             test_e2e_second_daemon_locked;
           Alcotest.test_case "gateless submit is a typed lint error" `Quick
