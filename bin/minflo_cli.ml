@@ -101,11 +101,11 @@ let max_pivots_arg =
 let warm_start_arg =
   Arg.(value & flag
        & info [ "warm-start" ]
-           ~doc:"Reuse flow-solver state (the simplex spanning-tree basis, \
-                 the SSP potentials) across D-phase solves instead of \
-                 rebuilding it each iteration. The trajectory — every \
-                 iterate, the final sizing — is bit-identical to a cold \
-                 run; only the pivot counts drop (see $(b,minflo bench)).")
+           ~doc:"Reuse the simplex spanning-tree basis across D-phase \
+                 solves instead of rebuilding it each iteration. The \
+                 trajectory — every iterate, the final sizing — is \
+                 bit-identical to a cold run; only the pivot counts drop \
+                 (see $(b,minflo bench)).")
 
 (* every --inject-fault argument, on every subcommand, is validated against
    the catalog of instrumented sites at parse time *)
@@ -958,19 +958,17 @@ let audit_cert_cmd =
     Arg.(value
          & opt
              (list
-                (enum
-                   [ ("simplex", `Simplex); ("ssp", `Ssp);
-                     ("cost-scaling", `Cost_scaling) ]))
-             [ `Simplex; `Ssp; `Cost_scaling ]
+                (enum [ ("simplex", `Simplex); ("ssp", `Ssp) ]))
+             [ `Simplex; `Ssp ]
          & info [ "solvers" ]
              ~doc:"Comma-separated MCF solvers whose certificates to audit \
-                   (default: all three).")
+                   (default: both).")
   in
   let audit_fault_arg =
     Arg.(value & opt_all fault_site_conv []
          & info [ "inject-fault" ] ~docv:"SITE"
              ~doc:"Corrupt the named solver's solution before auditing \
-                   (audit.simplex, audit.ssp, audit.cost-scaling); \
+                   (audit.simplex, audit.ssp); \
                    repeatable. The audit must then fail — this is how the \
                    auditor itself is tested.")
   in
@@ -1028,7 +1026,6 @@ let audit_cert_cmd =
     let named = function
       | `Simplex -> ("simplex", Network_simplex.solve ?budget:None)
       | `Ssp -> ("ssp", Ssp.solve ?budget:None)
-      | `Cost_scaling -> ("cost-scaling", Cost_scaling.solve ?budget:None)
     in
     let bad = List.filter audit_one (List.map named solvers) in
     if bad <> [] then
@@ -1167,7 +1164,7 @@ let fuzz_cmd =
   let no_differential_arg =
     Arg.(value & flag
          & info [ "no-differential" ]
-             ~doc:"Skip the LP-level three-solver differential and \
+             ~doc:"Skip the LP-level two-solver differential and \
                    certificate-audit stage.")
   in
   let no_shrink_arg =

@@ -19,8 +19,8 @@
       electrical models at gate or transistor granularity ([minflo_tech]);
     - {!Sta}, {!Balance} — timing analysis and FSDU delay balancing
       ([minflo_timing]);
-    - {!Mcf}, {!Network_simplex}, {!Ssp}, {!Dinic}, {!Diff_lp},
-      {!Bellman_ford} — the network-flow substrate ([minflo_flow]);
+    - {!Mcf}, {!Network_simplex}, {!Ssp}, {!Diff_lp}, {!Bellman_ford} —
+      the network-flow substrate ([minflo_flow]);
     - {!Tilos}, {!Wphase}, {!Dphase}, {!Sensitivity}, {!Minflotransit},
       {!Sweep} — the sizing engines ([minflo_sizing]);
     - {!Lint}, {!Bounds}, {!Audit}, {!Trace}, {!Sarif}, {!Lint_report} —
@@ -65,8 +65,6 @@ module Dot = Minflo_graph.Dot
 module Mcf = Minflo_flow.Mcf
 module Network_simplex = Minflo_flow.Network_simplex
 module Ssp = Minflo_flow.Ssp
-module Cost_scaling = Minflo_flow.Cost_scaling
-module Dinic = Minflo_flow.Dinic
 module Bellman_ford = Minflo_flow.Bellman_ford
 module Diff_lp = Minflo_flow.Diff_lp
 

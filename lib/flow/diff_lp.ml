@@ -95,18 +95,6 @@ let solve_by_feasibility t =
   | Negative_cycle _ -> Infeasible_lp
   | Distances values -> Solution { values; objective = objective_value t values }
 
-type warm = {
-  ws_simplex : Network_simplex.state;
-  ws_ssp : Ssp.state;
-}
-
-let make_warm () =
-  { ws_simplex = Network_simplex.make_state (); ws_ssp = Ssp.make_state () }
-
-let drop_warm w =
-  Network_simplex.drop w.ws_simplex;
-  Ssp.drop w.ws_ssp
-
 let solve ?(solver = `Simplex) ?budget ?warm ?(canonical = false) ?on_solution t =
   (* The dual LP [max b.pi : pi(u) - pi(v) <= w] is bounded iff the flow
      problem is feasible, and feasible iff the constraint graph has no
@@ -122,10 +110,9 @@ let solve ?(solver = `Simplex) ?budget ?warm ?(canonical = false) ?on_solution t
       let p = to_problem t in
       let sol =
         match (s, warm) with
-        | `Simplex, Some w -> Network_simplex.solve_warm ?budget w.ws_simplex p
+        | `Simplex, Some st -> Network_simplex.solve_warm ?budget st p
         | `Simplex, None -> Network_simplex.solve ?budget p
-        | `Ssp, Some w -> Ssp.solve_warm ?budget w.ws_ssp p
-        | `Ssp, None -> Ssp.solve ?budget p
+        | `Ssp, _ -> Ssp.solve ?budget p
       in
       (* canonicalize BEFORE the observer so fault-injection perturbations
          land on the final values and divergence checks still bite *)

@@ -56,21 +56,10 @@ type outcome =
   | Aborted_lp
       (** A run budget ({!Minflo_robust.Budget}) was exhausted mid-solve. *)
 
-type warm
-(** Reusable warm-start state covering both exact solvers (each keeps its
-    own: a spanning-tree basis for [`Simplex], Johnson potentials for
-    [`Ssp]). Never share one [warm] across concurrently running solves. *)
-
-val make_warm : unit -> warm
-(** Fresh warm state; the first solve through it is a cold start. *)
-
-val drop_warm : warm -> unit
-(** Forget all retained solver state. *)
-
 val solve :
   ?solver:[ `Simplex | `Ssp | `Bellman_ford ] ->
   ?budget:Minflo_robust.Budget.t ->
-  ?warm:warm ->
+  ?warm:Network_simplex.state ->
   ?canonical:bool ->
   ?on_solution:(Mcf.problem -> Mcf.solution -> unit) ->
   t ->
@@ -81,9 +70,10 @@ val solve :
     the last rung of the {!Minflo_robust.Fallback} chain. [budget] is
     threaded into the flow solver's pivot loop.
 
-    [warm] lets consecutive solves over the same constraint-graph shape
-    reuse solver state (see {!Network_simplex.solve_warm},
-    {!Ssp.solve_warm}); ignored by [`Bellman_ford].
+    [warm] lets consecutive [`Simplex] solves over the same
+    constraint-graph shape reuse the spanning-tree basis (see
+    {!Network_simplex.solve_warm}); [`Ssp] and [`Bellman_ford] ignore it.
+    Never share one state across concurrently running solves.
 
     [canonical] replaces the optimal potentials with
     {!Mcf.canonical_potentials} before anything observes them, so the

@@ -112,10 +112,6 @@ let cancel_negative_cycles ?budget t =
   done;
   !bounded
 
-let has_unbounded_negative_cycle p =
-  Mcf.validate p;
-  not (cancel_negative_cycles (build p))
-
 exception Found_deficit of int
 
 (* One Dijkstra from [s] over reduced costs; returns the reached deficit node
@@ -250,79 +246,4 @@ let solve ?budget (p : Mcf.problem) : Mcf.solution =
         augment ?budget t
       end
     with Aborted_exn -> fail_solution p Aborted
-  end
-
-(* ---------- warm starts ---------- *)
-
-type state = { mutable cache : t option }
-
-let make_state () = { cache = None }
-let drop st = st.cache <- None
-let is_warm st = st.cache <> None
-
-let compatible t (p : Mcf.problem) =
-  t.p.num_nodes = p.num_nodes
-  && Array.length t.p.arcs = Array.length p.arcs
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun i (a : Mcf.arc) ->
-      let b = t.p.arcs.(i) in
-      if b.src <> a.src || b.dst <> a.dst then ok := false)
-    p.arcs;
-  !ok
-
-(* With zero flow, the only residual entries are the forward ones with
-   positive capacity, so the retained potentials are valid iff every such
-   arc has non-negative reduced cost under the new costs — an O(m) check
-   that decides whether the Bellman-Ford initialization (and negative-cycle
-   cancellation) can be skipped entirely. *)
-let pot_valid t =
-  let ok = ref true in
-  Array.iter
-    (fun (a : Mcf.arc) ->
-      if a.cap > 0 && a.cost + t.pot.(a.src) - t.pot.(a.dst) < 0 then ok := false)
-    t.p.arcs;
-  !ok
-
-let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
-  Mcf.validate p;
-  if not (Mcf.is_balanced p) then begin
-    st.cache <- None;
-    fail_solution p Infeasible
-  end
-  else begin
-    let t, warm =
-      match st.cache with
-      | Some old when compatible old p ->
-        (* reuse the adjacency and working arrays; restart the flow from
-           zero but keep the potentials from the previous optimum *)
-        let t = { old with p } in
-        Array.fill t.flow 0 (Array.length t.flow) 0;
-        Array.blit p.supply 0 t.excess 0 p.num_nodes;
-        if pot_valid t then begin
-          Perf.tick_warm_start ();
-          (t, true)
-        end
-        else begin
-          Perf.tick_cold_start ();
-          (t, false)
-        end
-      | _ ->
-        Perf.tick_cold_start ();
-        (build p, false)
-    in
-    let sol =
-      try
-        if warm then augment ?budget t
-        else if not (cancel_negative_cycles ?budget t) then
-          fail_solution p Unbounded
-        else begin
-          init_potentials t;
-          augment ?budget t
-        end
-      with Aborted_exn -> fail_solution p Aborted
-    in
-    st.cache <- (if sol.status = Optimal then Some t else None);
-    sol
   end

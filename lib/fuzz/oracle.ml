@@ -17,7 +17,6 @@ module Sweep = Minflo_sizing.Sweep
 module Mcf = Minflo_flow.Mcf
 module Network_simplex = Minflo_flow.Network_simplex
 module Ssp = Minflo_flow.Ssp
-module Cost_scaling = Minflo_flow.Cost_scaling
 module Lint = Minflo_lint.Lint
 module Audit = Minflo_lint.Audit
 module Rule = Minflo_lint.Rule
@@ -299,7 +298,7 @@ let engine_differential sink cfg legs =
   | [] -> ()
 
 (* LP-level differential: the displacement problem at the TILOS seed,
-   solved by all three independent MCF solvers, objectives compared
+   solved by both independent MCF solvers, objectives compared
    exactly, each certificate independently audited. This is also where the
    audit.* fault sites corrupt a certificate (mirroring the CLI's
    audit-cert --inject-fault). *)
@@ -319,8 +318,7 @@ let lp_differential sink cfg ?fault model ~target (tilos : Minflo_sizing.Tilos.r
            in
            let sols =
              [ solve_with "simplex" Network_simplex.solve;
-               solve_with "ssp" Ssp.solve;
-               solve_with "cost-scaling" Cost_scaling.solve ]
+               solve_with "ssp" Ssp.solve ]
            in
            (* objectives of exact optimal solutions agree exactly *)
            (match

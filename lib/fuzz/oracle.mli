@@ -4,8 +4,8 @@
     chain trusts — print/reparse round-trip, lint, delay-model extraction,
     a full TILOS + D/W sizing run per configured solver, post-phase
     invariant checks, cross-solver differential comparison of the final
-    areas, and an LP-level three-solver differential (network simplex /
-    SSP / cost scaling) on the D-phase displacement problem with an
+    areas, and an LP-level two-solver differential (network simplex /
+    SSP) on the D-phase displacement problem with an
     independent {!Minflo_lint.Audit} of each certificate — and reports
     every anomaly as a fingerprinted failure.
 

@@ -48,8 +48,7 @@ let sites t =
    asserted by the test-suite, so a renamed or removed call site fails a
    test instead of silently orphaning the catalog. *)
 let all_points =
-  [ "audit.cost-scaling";
-    "audit.simplex";
+  [ "audit.simplex";
     "audit.ssp";
     "dphase.bellman-ford";
     "dphase.simplex";

@@ -44,8 +44,8 @@ val all_points : string list
 (** The catalog of every instrumented injection site in the tree, sorted:
     the D-phase solver rungs (["dphase.simplex"], ["dphase.ssp"],
     ["dphase.bellman-ford"]), the W-phase (["wphase"]), the
-    certificate-audit corruption points (["audit.simplex"], ["audit.ssp"],
-    ["audit.cost-scaling"]), the network sites the chaos proxy
+    certificate-audit corruption points (["audit.simplex"], ["audit.ssp"]),
+    the network sites the chaos proxy
     interposes between a client and a daemon (["net.accept-drop"],
     ["net.read-stall"], ["net.torn-write"], ["net.delayed-response"]), and
     the storage sites the instrumented {!Io} layer interposes under every

@@ -4,8 +4,8 @@
     the inner loops of the solvers and engines:
 
     - [pivots]: network-simplex basis exchanges;
-    - [relabels]: potential-update rounds (SSP Johnson updates, cost-scaling
-      relabels, Bellman-Ford passes);
+    - [relabels]: SSP potential-update rounds (Johnson updates and
+      Bellman-Ford passes);
     - [sweeps]: full forward/backward STA passes over the timing graph;
     - [bumps]: TILOS size bumps;
     - [warm_starts] / [cold_starts]: how often a flow solve could reuse a

@@ -32,8 +32,11 @@ val event :
   string ->
   unit
 (** [event t ~job ~error ~fields name] appends one line
-    [{"event":name,"seq":n,"t":seconds,"job":…,…fields,"code":…,"error":{…}}]
-    and fsyncs it. A float field that may be non-finite should be built
+    [{"event":name,"seq":n,"t":seconds,"job":…,…fields,
+      "code":…,"message":…,"error":{…}}]
+    and fsyncs it; [message] is {!Minflo_robust.Diag.to_string} of the
+    error, so a restarted daemon answers with the same text as the live
+    one. A float field that may be non-finite should be built
     with {!Minflo_util.Json.float}, which keeps it readable. Write failures are
     silent — journaling must never kill the run it documents — but the
     typed error is remembered (see {!last_error}). All bytes go through the

@@ -218,7 +218,10 @@ let recover_table journal_path =
             e.state <-
               Failed
                 { f_code = code;
-                  f_message = code;
+                  (* journals older than the message field fall back to
+                     the code *)
+                  f_message =
+                    Option.value (Json.str_field "message" j) ~default:code;
                   f_error =
                     Option.value (Json.member "error" j) ~default:(Json.Obj []);
                   f_quarantined = event <> "job-failed" }

@@ -74,7 +74,7 @@ val displacement_problem :
 val solve :
   ?options:options ->
   ?budget:Minflo_robust.Budget.t ->
-  ?warm:Minflo_flow.Diff_lp.warm ->
+  ?warm:Minflo_flow.Network_simplex.state ->
   ?fault:Minflo_robust.Fault.t ->
   ?checks:Minflo_robust.Check.t ->
   ?certificate:certificate option ref ->

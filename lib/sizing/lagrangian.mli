@@ -4,7 +4,7 @@
     Multipliers live on the timing-graph edges and must satisfy
     flow conservation at every vertex (the KKT condition that makes the
     arrival-time variables drop out of the Lagrangian); given conserved
-    multipliers, the size subproblem decomposes into per-vertex updates
+    multipliers, the size subproblem splits into per-vertex updates
     with a closed form. This implementation maintains conservation by
     construction — multipliers are built by distributing one unit of flow
     backward from each sink, weighted by edge criticality — and alternates

@@ -162,13 +162,16 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
   let osc_repeats =
     ref (match resume with Some s -> s.snap_osc_repeats | None -> 0)
   in
-  (* one warm context for the whole refinement: the displacement LP keeps
+  (* one simplex basis for the whole refinement: the displacement LP keeps
      its constraint-graph shape across iterations (and across trust-region
-     retries), which is exactly the reuse condition of the flow solvers.
+     retries), which is exactly the simplex's reuse condition.
      Warm starts force canonical duals — without them a warm solve may pick
      a different vertex of the optimal dual face than a cold one and the
      trajectories would drift apart. *)
-  let warm = if options.warm_start then Some (Minflo_flow.Diff_lp.make_warm ()) else None in
+  let warm =
+    if options.warm_start then Some (Minflo_flow.Network_simplex.make_state ())
+    else None
+  in
   let canonical = options.canonical_duals || options.warm_start in
   while !continue && !eta >= options.eta_min do
     if !iters >= options.max_iterations then begin

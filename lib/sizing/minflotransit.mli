@@ -39,10 +39,10 @@ type options = {
       (** consecutive same-area rejections that trigger
           {!Stop_oscillation} (default 3). *)
   warm_start : bool;
-      (** reuse flow-solver state (spanning-tree basis for the simplex,
-          Johnson potentials for SSP) across D-phase solves, so iteration
-          [k+1] starts from iteration [k]'s optimal basis instead of the
-          all-artificial one. Implies [canonical_duals], which is what makes
+      (** reuse the simplex's spanning-tree basis across D-phase solves,
+          so iteration [k+1] starts from iteration [k]'s optimal basis
+          instead of the all-artificial one; the SSP and Bellman-Ford rungs
+          always start cold. Implies [canonical_duals], which is what makes
           the warm trajectory — every iterate, every area, the final sizing
           — bit-identical to the cold one (verified by the test-suite and
           the fuzz oracle). Default [false]: the historical single-solve

@@ -31,8 +31,12 @@ let num_to_string v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
   else if Float.is_finite v then begin
-    let s = Printf.sprintf "%.15g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+    (* the fewest of 15, 16, 17 significant digits that reads back as [v] *)
+    let rec shortest prec =
+      let s = Printf.sprintf "%.*g" prec v in
+      if prec >= 17 || float_of_string s = v then s else shortest (prec + 1)
+    in
+    shortest 15
   end
   else "null" (* nan/inf are not JSON; the protocol never produces them *)
 

@@ -160,8 +160,29 @@ let test_transistor () =
   in
   expect "transistor" 0xfe66e7bd2662b359L h
 
+(* The SSP rung under warm start. Warm start forces canonical duals, and the
+   canonical dual is the unique componentwise-maximal optimal one, so these
+   bits do not depend on whether SSP itself starts warm or cold; they were
+   recorded when it started warm. SSP is slow, so this runs on a subset. *)
+let test_ssp_warm () =
+  let options =
+    { Minflotransit.default_options with solver = `Ssp; warm_start = true }
+  in
+  let run h model =
+    mix_optimize h
+      (Minflotransit.optimize ~options model ~target:(target_of model 0.6))
+  in
+  let h = ref fnv_offset in
+  for seed = 0 to 19 do
+    h := run !h (random_model (seed * 10))
+  done;
+  h := run !h (Elmore.of_netlist tech (Gen.c17 ()));
+  h := run !h (Elmore.of_netlist tech (Iscas85.circuit "c432"));
+  expect "ssp-warm" 0x12812cd2f8598fc0L !h
+
 let suite =
   [ ("random-dag-200-seeds", `Quick, test_random_dags);
+    ("ssp-warm-start", `Quick, test_ssp_warm);
     ("lagrangian", `Quick, test_lagrangian);
     ("with-wires", `Quick, test_with_wires);
     ("transistor", `Quick, test_transistor) ]

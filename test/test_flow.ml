@@ -5,8 +5,6 @@
 module Mcf = Minflo_flow.Mcf
 module Simplex = Minflo_flow.Network_simplex
 module Ssp = Minflo_flow.Ssp
-module Cost_scaling = Minflo_flow.Cost_scaling
-module Dinic = Minflo_flow.Dinic
 module BF = Minflo_flow.Bellman_ford
 module Diff_lp = Minflo_flow.Diff_lp
 module Rng = Minflo_util.Rng
@@ -170,23 +168,11 @@ let prop_solvers_agree =
         && Result.is_ok (Mcf.check_optimality p s2)
       | a, b -> a = b)
 
-let prop_three_solvers_agree =
-  QCheck.Test.make
-    ~name:"cost scaling agrees with network simplex (status + objective)"
-    ~count:300 QCheck.small_nat (fun seed ->
-      let p = random_problem ((seed * 2671) + 13) in
-      let s1 = Simplex.solve p and s3 = Cost_scaling.solve p in
-      match (s1.status, s3.status) with
-      | Optimal, Optimal ->
-        s1.objective = s3.objective
-        && Result.is_ok (Mcf.check_optimality p s3)
-      | a, b -> a = b)
-
-(* fixed-seed differential sweep: 50 pinned instances on which all three
-   independent solver families must agree simultaneously. Unlike the QCheck
-   properties above (fresh instances every run), these seeds are frozen so
-   a regression in any solver reproduces identically in CI; a failure
-   prints the whole instance for replay. *)
+(* fixed-seed differential sweep: 50 pinned instances on which both
+   independent solvers must agree. Unlike the QCheck properties above (fresh
+   instances every run), these seeds are frozen so a regression in either
+   solver reproduces identically in CI; a failure prints the whole instance
+   for replay. *)
 
 let problem_to_string (p : Mcf.problem) =
   let b = Buffer.create 256 in
@@ -203,24 +189,28 @@ let problem_to_string (p : Mcf.problem) =
   Buffer.contents b
 
 let test_differential_fixed_seeds () =
+  let optimal = ref 0 and infeasible = ref 0 in
   for seed = 1 to 50 do
     let p = random_problem ((seed * 48271) + 7) in
-    let s1 = Simplex.solve p
-    and s2 = Ssp.solve p
-    and s3 = Cost_scaling.solve p in
-    if s1.status <> s2.status || s2.status <> s3.status then
-      Alcotest.failf
-        "seed %d: statuses simplex=%s ssp=%s cost-scaling=%s on instance:\n%s"
+    let s1 = Simplex.solve p and s2 = Ssp.solve p in
+    if s1.status <> s2.status then
+      Alcotest.failf "seed %d: statuses simplex=%s ssp=%s on instance:\n%s"
         seed (status_str s1.status) (status_str s2.status)
-        (status_str s3.status) (problem_to_string p);
+        (problem_to_string p);
     match s1.status with
     | Mcf.Optimal ->
-      if s1.objective <> s2.objective || s2.objective <> s3.objective then
-        Alcotest.failf
-          "seed %d: objectives simplex=%d ssp=%d cost-scaling=%d on instance:\n%s"
-          seed s1.objective s2.objective s3.objective (problem_to_string p)
+      incr optimal;
+      if s1.objective <> s2.objective then
+        Alcotest.failf "seed %d: objectives simplex=%d ssp=%d on instance:\n%s"
+          seed s1.objective s2.objective (problem_to_string p)
+    | Mcf.Infeasible -> incr infeasible
     | _ -> ()
-  done
+  done;
+  (* both outcomes must stay well represented, or the pinned family could
+     drift to one status and stop exercising the other *)
+  if !optimal < 10 || !infeasible < 10 then
+    Alcotest.failf "outcome mix drifted: %d optimal, %d infeasible of 50"
+      !optimal !infeasible
 
 let prop_simplex_certificate =
   QCheck.Test.make
@@ -259,61 +249,6 @@ let test_self_loop_arc () =
   expect_optimal "simplex" s1 2;
   expect_optimal "ssp" s2 2;
   check int "self loop empty" 0 s1.flow.(0)
-
-let test_decompose_zero_flow () =
-  let p =
-    { Mcf.num_nodes = 2; arcs = [| arc 0 1 5 1 |]; supply = [| 0; 0 |] }
-  in
-  let d = Mcf.decompose p [| 0 |] in
-  check bool "empty decomposition" true (d.paths = [] && d.cycles = [])
-
-(* ---------- decomposition ---------- *)
-
-let prop_decompose_recomposes =
-  QCheck.Test.make
-    ~name:"flow decomposition superposes back to the original flow"
-    ~count:200 QCheck.small_nat (fun seed ->
-      let p = random_problem ((seed * 911) + 77) in
-      let s = Simplex.solve p in
-      match s.status with
-      | Optimal ->
-        let d = Mcf.decompose p s.flow in
-        let rebuilt = Array.make (Array.length p.arcs) 0 in
-        List.iter
-          (fun (arcs, amount) ->
-            List.iter (fun a -> rebuilt.(a) <- rebuilt.(a) + amount) arcs)
-          (d.paths @ d.cycles);
-        rebuilt = s.flow
-      | _ -> true)
-
-let prop_decompose_paths_connect =
-  QCheck.Test.make ~name:"decomposed paths are connected arc sequences"
-    ~count:200 QCheck.small_nat (fun seed ->
-      let p = random_problem ((seed * 337) + 3) in
-      let s = Simplex.solve p in
-      match s.status with
-      | Optimal ->
-        let d = Mcf.decompose p s.flow in
-        List.for_all
-          (fun (arcs, amount) ->
-            amount > 0
-            &&
-            let rec connected = function
-              | a :: (b :: _ as rest) ->
-                p.arcs.(a).dst = p.arcs.(b).src && connected rest
-              | _ -> true
-            in
-            connected arcs)
-          d.paths
-        && List.for_all
-             (fun (arcs, _) ->
-               match arcs with
-               | [] -> false
-               | first :: _ ->
-                 let last = List.nth arcs (List.length arcs - 1) in
-                 p.arcs.(last).dst = p.arcs.(first).src)
-             d.cycles
-      | _ -> true)
 
 (* ---------- Bellman-Ford ---------- *)
 
@@ -354,59 +289,6 @@ let test_bf_negative_cycle () =
   | Negative_cycle arcs ->
     let w = List.fold_left (fun acc a -> acc + g.arc_weight.(a)) 0 arcs in
     check bool "cycle weight negative" true (w < 0)
-
-(* ---------- Dinic ---------- *)
-
-let test_dinic_simple () =
-  let d = Dinic.create ~num_nodes:4 in
-  ignore (Dinic.add_edge d ~src:0 ~dst:1 ~cap:3);
-  ignore (Dinic.add_edge d ~src:0 ~dst:2 ~cap:2);
-  ignore (Dinic.add_edge d ~src:1 ~dst:3 ~cap:2);
-  ignore (Dinic.add_edge d ~src:2 ~dst:3 ~cap:3);
-  ignore (Dinic.add_edge d ~src:1 ~dst:2 ~cap:5);
-  check int "max flow" 5 (Dinic.max_flow d ~source:0 ~sink:3)
-
-let test_dinic_bottleneck () =
-  let d = Dinic.create ~num_nodes:3 in
-  let e0 = Dinic.add_edge d ~src:0 ~dst:1 ~cap:10 in
-  let e1 = Dinic.add_edge d ~src:1 ~dst:2 ~cap:4 in
-  check int "max flow" 4 (Dinic.max_flow d ~source:0 ~sink:2);
-  check int "flow e0" 4 (Dinic.flow_on d e0);
-  check int "flow e1" 4 (Dinic.flow_on d e1)
-
-let test_dinic_min_cut () =
-  let d = Dinic.create ~num_nodes:3 in
-  ignore (Dinic.add_edge d ~src:0 ~dst:1 ~cap:1);
-  ignore (Dinic.add_edge d ~src:1 ~dst:2 ~cap:9);
-  ignore (Dinic.max_flow d ~source:0 ~sink:2);
-  let side = Dinic.min_cut_side d ~source:0 in
-  check bool "source in cut" true (Minflo_util.Bitset.mem side 0);
-  check bool "sink out of cut" false (Minflo_util.Bitset.mem side 2)
-
-let prop_dinic_matches_mcf_feasibility =
-  (* a transportation instance is feasible iff Dinic saturates all supply
-     from a super-source: cross-check against the MCF solvers' status *)
-  QCheck.Test.make ~name:"Dinic feasibility oracle agrees with MCF status"
-    ~count:200 QCheck.small_nat (fun seed ->
-      let p = random_problem ((seed * 31337) + 5) in
-      let n = p.num_nodes in
-      let d = Dinic.create ~num_nodes:(n + 2) in
-      let source = n and sink = n + 1 in
-      Array.iter
-        (fun (a : Mcf.arc) -> ignore (Dinic.add_edge d ~src:a.src ~dst:a.dst ~cap:a.cap))
-        p.arcs;
-      let total = ref 0 in
-      Array.iteri
-        (fun v b ->
-          if b > 0 then begin
-            total := !total + b;
-            ignore (Dinic.add_edge d ~src:source ~dst:v ~cap:b)
-          end
-          else if b < 0 then ignore (Dinic.add_edge d ~src:v ~dst:sink ~cap:(-b)))
-        p.supply;
-      let feasible = Dinic.max_flow d ~source ~sink = !total in
-      let s = Simplex.solve p in
-      feasible = (s.status = Optimal))
 
 (* ---------- Diff_lp ---------- *)
 
@@ -563,23 +445,13 @@ let () =
           tc "feasibility diagnostics" `Quick test_check_feasible_flow_diagnostics;
           tc "self loop" `Quick test_self_loop_arc;
           QCheck_alcotest.to_alcotest prop_solvers_agree;
-          QCheck_alcotest.to_alcotest prop_three_solvers_agree;
           tc "differential sweep, 50 fixed seeds" `Quick
             test_differential_fixed_seeds;
           QCheck_alcotest.to_alcotest prop_simplex_certificate ] );
-      ( "decompose",
-        [ tc "zero flow" `Quick test_decompose_zero_flow;
-          QCheck_alcotest.to_alcotest prop_decompose_recomposes;
-          QCheck_alcotest.to_alcotest prop_decompose_paths_connect ] );
       ( "bellman-ford",
         [ tc "distances" `Quick test_bf_distances;
           tc "unreachable" `Quick test_bf_unreachable;
           tc "negative cycle" `Quick test_bf_negative_cycle ] );
-      ( "dinic",
-        [ tc "simple" `Quick test_dinic_simple;
-          tc "bottleneck" `Quick test_dinic_bottleneck;
-          tc "min cut" `Quick test_dinic_min_cut;
-          QCheck_alcotest.to_alcotest prop_dinic_matches_mcf_feasibility ] );
       ( "diff_lp",
         [ tc "basic" `Quick test_diff_lp_basic;
           tc "chain" `Quick test_diff_lp_chain;

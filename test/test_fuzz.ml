@@ -114,7 +114,7 @@ let test_fingerprint_slug () =
 
 let test_fault_sites () =
   let pts = Fault.all_points in
-  check int "seventeen instrumented sites" 17 (List.length pts);
+  check int "sixteen instrumented sites" 16 (List.length pts);
   check bool "sorted and duplicate-free" true
     (List.sort_uniq String.compare pts = pts);
   List.iter

@@ -1,7 +1,7 @@
 (* Tests for the static analyzer (rules MF001-MF010 each triggered by a
    minimal fixture exactly once; every generator and the bundled suite
    lint-clean) and the flow-certificate auditor (rules MF101-MF105; a
-   corrupted solution from each of the three solvers is rejected). *)
+   corrupted solution from each of the two solvers is rejected). *)
 
 module Raw = Minflo_netlist.Raw
 module Bench = Minflo_netlist.Bench_format
@@ -18,7 +18,6 @@ module Report = Minflo_lint.Report
 module Mcf = Minflo_flow.Mcf
 module Simplex = Minflo_flow.Network_simplex
 module Ssp = Minflo_flow.Ssp
-module Cost_scaling = Minflo_flow.Cost_scaling
 module Diag = Minflo_robust.Diag
 module Json = Minflo_util.Json
 
@@ -216,8 +215,7 @@ let path_problem =
 
 let solvers =
   [ ("simplex", fun p -> Simplex.solve p);
-    ("ssp", fun p -> Ssp.solve p);
-    ("cost-scaling", fun p -> Cost_scaling.solve p) ]
+    ("ssp", fun p -> Ssp.solve p) ]
 
 let test_audit_accepts_valid () =
   List.iter
@@ -279,9 +277,8 @@ let test_audit_rejects_corruption_all_solvers () =
         (Finding.worst fs = Some Rule.Error))
     solvers
 
-(* the displacement LP is entirely uncapacitated; cost scaling used to
-   return a conservation-violating flow on such problems (the clamp in its
-   solve is the fix, and this is its regression test) *)
+(* the displacement LP is entirely uncapacitated; every solver must return
+   an audit-clean certificate on such problems *)
 let test_audit_uncapacitated_problem () =
   let inf = Mcf.infinite_capacity in
   let p =
@@ -419,7 +416,7 @@ let () =
           Alcotest.test_case "MF104 objective" `Quick test_mf104_objective;
           Alcotest.test_case "MF105 non-optimal status" `Quick
             test_mf105_not_optimal;
-          Alcotest.test_case "corruption caught for all three solvers" `Quick
+          Alcotest.test_case "corruption caught for both solvers" `Quick
             test_audit_rejects_corruption_all_solvers;
           Alcotest.test_case "uncapacitated displacement-style LP" `Quick
             test_audit_uncapacitated_problem;

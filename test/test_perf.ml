@@ -10,7 +10,6 @@ module Budget = Minflo_robust.Budget
 module Perf = Minflo_robust.Perf
 module Mcf = Minflo_flow.Mcf
 module Simplex = Minflo_flow.Network_simplex
-module Ssp = Minflo_flow.Ssp
 module Generators = Minflo_netlist.Generators
 module Bench_format = Minflo_netlist.Bench_format
 module Iscas85 = Minflo_netlist.Iscas85
@@ -139,23 +138,6 @@ let test_warm_matches_cold_on_perturbed () =
       cold_total := !cold_total + cold_pivots;
       warm_total := !warm_total + warm_pivots
     end;
-    (* the SSP warm path must agree with its own cold solver too *)
-    let sst = Ssp.make_state () in
-    ignore (Ssp.solve_warm sst p);
-    let sc = Ssp.solve q in
-    let sw = Ssp.solve_warm sst q in
-    if sc.Mcf.status <> sw.Mcf.status then
-      Alcotest.failf "seed %d: ssp warm status diverges" seed;
-    if sc.Mcf.status = Mcf.Optimal then begin
-      check int
-        (Printf.sprintf "seed %d ssp objective" seed)
-        sc.Mcf.objective sw.Mcf.objective;
-      match Mcf.check_optimality q sw with
-      | Ok () -> ()
-      | Error e ->
-        Alcotest.failf "seed %d: ssp warm certificate invalid: %s" seed
-          (Diag.to_string e)
-    end
   done;
   check bool "family exercises the optimal path" true (!optimal >= 10);
   (* monotonicity in aggregate: re-solving from the previous optimal basis

@@ -72,7 +72,15 @@ let test_json_number_bits () =
           Alcotest.failf "%h reparsed as %h" f g
       | _ -> Alcotest.failf "%h did not reparse as a number" f)
     [ 0.0; -0.0; 0.1; 1.0 /. 3.0; 1e300; 4.94e-324; 12345.6789;
-      1.0000000000000002; 745.0; -42.125 ]
+      1.0000000000000002; 745.0; -42.125; 7.123456789012345 ];
+  (* and print in their shortest round-trip form: 16 digits where 15 do
+     not read back, never a 17th that only adds noise *)
+  List.iter
+    (fun (f, want) -> check string want want (Json.to_string (Json.Num f)))
+    [ (1.0 /. 3.0, "0.3333333333333333");
+      (7.123456789012345, "7.123456789012345");
+      (0.1, "0.1");
+      (1.0000000000000002, "1.0000000000000002") ]
 
 (* ---------- protocol ---------- *)
 
@@ -249,6 +257,22 @@ let start_daemon cfg =
     Unix._exit code
   | pid -> pid
 
+(* SIGKILL and reap [pid] unless the test has already reaped it *)
+let reap pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ -> (
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+  | _ -> ()
+  | exception Unix.Unix_error _ -> ()
+
+(* [f pid] against a forked child: however [f] ends, a failed assertion
+   included, the child does not outlive the test *)
+let with_child pid f =
+  Fun.protect ~finally:(fun () -> reap pid) (fun () -> f pid)
+
+let with_daemon cfg f = with_child (start_daemon cfg) f
+
 let unix_ep cfg = Transport.Unix_sock cfg.Server.socket_path
 
 (* test helpers talk straight to the daemon: one attempt, no backoff, so
@@ -350,10 +374,6 @@ let wait_for_socket path =
     Unix.sleepf 0.02
   done
 
-let reap pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] pid)
-
 let health_json = Protocol.request_to_json Protocol.Health
 
 let test_client_connect_refused () =
@@ -370,7 +390,7 @@ let test_client_connect_refused () =
 let test_client_net_timeout () =
   let dir = fresh_dir "client-timeout" in
   let path = Filename.concat dir "stub.sock" in
-  let pid = stub_server path `Silent in
+  with_child (stub_server path `Silent) @@ fun _ ->
   wait_for_socket path;
   let retry =
     { Client.attempts = 1; backoff_base = 0.01; timeout = Some 0.3; seed = 0 }
@@ -381,13 +401,12 @@ let test_client_net_timeout () =
     check (Alcotest.float 0.001) "deadline reported" 0.3 seconds
   | Error e -> Alcotest.failf "wrong diagnostic: %s" (Diag.to_string e)
   | Ok _ -> Alcotest.fail "a silent peer produced a response");
-  reap pid;
   rm_rf dir
 
 let test_client_torn_response () =
   let dir = fresh_dir "client-torn" in
   let path = Filename.concat dir "stub.sock" in
-  let pid = stub_server path `Torn in
+  with_child (stub_server path `Torn) @@ fun _ ->
   wait_for_socket path;
   let retry =
     { Client.attempts = 1; backoff_base = 0.01; timeout = Some 2.0; seed = 0 }
@@ -397,13 +416,12 @@ let test_client_torn_response () =
     check int "incomplete line length" 10 bytes
   | Error e -> Alcotest.failf "wrong diagnostic: %s" (Diag.to_string e)
   | Ok _ -> Alcotest.fail "a torn line parsed as a response");
-  reap pid;
   rm_rf dir
 
 let test_e2e_submit_result_cache () =
   let dir = fresh_dir "serve-e2e" in
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let id, _ = submit_ok cfg (submit_spec "c17") in
   let res = rpc cfg (Protocol.Result { id; wait = true }) in
@@ -443,7 +461,7 @@ let test_e2e_submit_result_cache () =
 let test_e2e_overload_cancel_sigterm () =
   let dir = fresh_dir "serve-overload" in
   let cfg = daemon_cfg ~parallel:1 ~queue:1 dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   (* slot: one slow job running, one parked in the admission queue *)
   let a, _ = submit_ok cfg (submit_spec ~sleep:5.0 ~factor:1.30 "c17") in
@@ -503,7 +521,7 @@ let test_e2e_sigkill_restart_recovers () =
   (* baseline: the same two sizings served by an uninterrupted daemon *)
   let base_dir = fresh_dir "serve-baseline" in
   let base = daemon_cfg base_dir in
-  let bpid = start_daemon base in
+  with_daemon base @@ fun bpid ->
   wait_ready base;
   let b1, _ = submit_ok base (submit_spec ~factor:1.30 "c17") in
   let b2, _ = submit_ok base (submit_spec ~factor:1.35 "c17") in
@@ -515,7 +533,7 @@ let test_e2e_sigkill_restart_recovers () =
   (* the crash run: one job mid-flight, one queued, daemon SIGKILLed *)
   let dir = fresh_dir "serve-recover" in
   let cfg = daemon_cfg ~parallel:1 dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let k1, _ = submit_ok cfg (submit_spec ~sleep:2.0 ~factor:1.30 "c17") in
   let k2, _ = submit_ok cfg (submit_spec ~sleep:2.0 ~factor:1.35 "c17") in
@@ -524,7 +542,7 @@ let test_e2e_sigkill_restart_recovers () =
   ignore (Unix.waitpid [] pid);
   (* restart on the same run directory: the journal replays, both accepted
      jobs are requeued and must reach terminal states *)
-  let pid2 = start_daemon cfg in
+  with_daemon cfg @@ fun pid2 ->
   wait_ready cfg;
   let events = journal_events cfg in
   check Alcotest.bool "recovery journaled" true
@@ -566,13 +584,13 @@ let test_e2e_sigkill_restart_tab_path () =
   let circuit = Filename.concat src "c17.bench" in
   Bench_format.write_file circuit (Generators.c17 ());
   let cfg = daemon_cfg ~parallel:1 dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let key, _ = submit_ok cfg (submit_spec ~sleep:2.0 circuit) in
   wait_state cfg key "running";
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
-  let pid2 = start_daemon cfg in
+  with_daemon cfg @@ fun pid2 ->
   wait_ready cfg;
   let r = rpc cfg (Protocol.Result { id = key; wait = true }) in
   let opt = Alcotest.option string in
@@ -612,13 +630,13 @@ let test_legacy_journal_recovers () =
   let oc = open_out_bin (Filename.concat cfg.Server.run_dir "journal.jsonl") in
   output_string oc text;
   close_out oc;
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let result id = Json.to_string (rpc cfg (Protocol.Result { id; wait = false })) in
   List.iter
     (fun (id, want) -> check string id want (result id))
     [ ( legacy_done,
-        {|{"ok":true,"id":"c17@1.300/simplex","state":"done","circuit":"c17","factor":1.3,"solver":"simplex","area":7.1234567890123452,"area_ratio":0.14285714285714285,"cp":0.30000000000000004,"target":0.3,"met":true,"iterations":4,"saving_pct":12.5,"stop":"converged","resumed":false}|}
+        {|{"ok":true,"id":"c17@1.300/simplex","state":"done","circuit":"c17","factor":1.3,"solver":"simplex","area":7.123456789012345,"area_ratio":0.14285714285714285,"cp":0.30000000000000004,"target":0.3,"met":true,"iterations":4,"saving_pct":12.5,"stop":"converged","resumed":false}|}
       );
       ( "c17@0.100/simplex",
         {|{"ok":false,"id":"c17@0.100/simplex","state":"failed","code":"infeasible-target","message":"infeasible-target","error":{"code":"infeasible-target","target":0.1,"lower_bound":0.2,"witness":["1","22"]},"quarantined":true}|}
@@ -641,13 +659,13 @@ let test_legacy_journal_recovers () =
 let test_e2e_second_daemon_locked () =
   let dir = fresh_dir "serve-locked" in
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   (* same run directory, different socket: must fail fast, typed *)
   let cfg2 =
     { cfg with Server.socket_path = Filename.concat dir "other.sock" }
   in
-  let pid2 = start_daemon cfg2 in
+  with_daemon cfg2 @@ fun pid2 ->
   (match Unix.waitpid [] pid2 with
   | _, Unix.WEXITED 3 -> ()
   | _, Unix.WEXITED 0 -> Alcotest.fail "second daemon ran on a locked run dir"
@@ -661,7 +679,7 @@ let test_e2e_second_daemon_locked () =
 let test_e2e_loadgen_mix () =
   let dir = fresh_dir "serve-loadgen" in
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let summary =
     match
@@ -709,7 +727,7 @@ let test_e2e_gateless_submit_is_typed () =
   Out_channel.with_open_text file (fun oc ->
       output_string oc "INPUT(a)\nOUTPUT(a)\n");
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let r = rpc cfg (Protocol.Submit (submit_spec file)) in
   check (Alcotest.option Alcotest.bool) "rejected" (Some false)
@@ -743,7 +761,7 @@ let tcp_endpoint_of_journal cfg =
 let test_e2e_tcp () =
   let dir = fresh_dir "serve-tcp" in
   let cfg = daemon_cfg ~tcp:"127.0.0.1:0" dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let ep = tcp_endpoint_of_journal cfg in
   (match ep with
@@ -774,7 +792,7 @@ let test_e2e_tcp () =
 let test_e2e_io_deadline_reaps_stalled_peer () =
   let dir = fresh_dir "serve-deadline" in
   let cfg = daemon_cfg ~io_timeout:0.4 dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   (* half a request, then silence: the daemon must reap us, not wait *)
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -824,7 +842,7 @@ let worker_pid cfg id =
 let test_e2e_watchdog_kills_silent_worker () =
   let dir = fresh_dir "serve-watchdog" in
   let cfg = daemon_cfg ~parallel:1 ~watchdog:0.4 dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let id, _ = submit_ok cfg (submit_spec ~sleep:2.5 "c17") in
   wait_state cfg id "running";
@@ -852,7 +870,7 @@ let test_e2e_cache_eviction_under_pressure () =
   let dir = fresh_dir "serve-evict" in
   (* a budget smaller than two rendered results: the third job must evict *)
   let cfg = daemon_cfg ~cache_bytes:400 dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let ids =
     List.map
@@ -902,7 +920,7 @@ let test_e2e_drain_edges () =
   (* drain with zero in-flight jobs: prompt, clean, fully journaled *)
   let dir = fresh_dir "serve-drain-idle" in
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let bye = rpc cfg Protocol.Drain in
   check (Alcotest.option Alcotest.bool) "idle drain acknowledged" (Some true)
@@ -919,7 +937,7 @@ let test_e2e_drain_edges () =
      [draining], not [overloaded] — drain outranks the queue bound *)
   let dir = fresh_dir "serve-drain-full" in
   let cfg = daemon_cfg ~parallel:1 ~queue:1 dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let a, _ = submit_ok cfg (submit_spec ~sleep:1.0 ~factor:1.30 "c17") in
   wait_state cfg a "running";
@@ -956,7 +974,7 @@ let test_e2e_chaos_bit_identical () =
   (* baseline: the same sizings from an unmolested daemon *)
   let base_dir = fresh_dir "chaos-base" in
   let base = daemon_cfg base_dir in
-  let bpid = start_daemon base in
+  with_daemon base @@ fun bpid ->
   wait_ready base;
   let sigs_base =
     List.map
@@ -971,7 +989,7 @@ let test_e2e_chaos_bit_identical () =
   (* the chaos run *)
   let dir = fresh_dir "chaos-run" in
   let cfg = daemon_cfg ~parallel:2 dir in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let proxy_sock = Filename.concat dir "proxy.sock" in
   let report = Filename.concat dir "chaos-report.json" in
@@ -999,6 +1017,7 @@ let test_e2e_chaos_bit_identical () =
       Unix._exit 0
     | p -> p
   in
+  with_child ppid @@ fun ppid ->
   wait_for_socket proxy_sock;
   let retry =
     { Client.attempts = 8; backoff_base = 0.05; timeout = Some 10.0; seed = 1 }
@@ -1057,6 +1076,44 @@ let test_e2e_chaos_bit_identical () =
   | Error e -> Alcotest.failf "chaos report unreadable: %s" e);
   rm_rf dir
 
+(* a failed job answers with the same bytes after a restart: the journal
+   carries the live daemon's message, not just the error code *)
+let test_e2e_failed_result_survives_restart () =
+  let dir = fresh_dir "serve-failed-restart" in
+  let cfg = daemon_cfg ~parallel:1 dir in
+  let result id =
+    Json.to_string (rpc cfg (Protocol.Result { id; wait = false }))
+  in
+  let id, live =
+    with_daemon cfg @@ fun pid ->
+    wait_ready cfg;
+    let r = rpc cfg (Protocol.Submit (submit_spec ~factor:0.05 "c17")) in
+    check (Alcotest.option string) "typed infeasible target"
+      (Some "infeasible-target") (Json.str_field "code" r);
+    let id =
+      match Json.str_field "id" r with
+      | Some id -> id
+      | None -> Alcotest.failf "reject carries no id: %s" (Json.to_string r)
+    in
+    let live = result id in
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid);
+    (id, live)
+  in
+  (match Json.parse live with
+  | Ok j ->
+    check Alcotest.bool "live message is more than the code" true
+      (Json.str_field "message" j <> Json.str_field "code" j)
+  | Error e -> Alcotest.failf "live result unparseable: %s" e);
+  with_daemon cfg @@ fun pid ->
+  wait_ready cfg;
+  check string "result bytes after restart" live (result id);
+  ignore (rpc cfg Protocol.Drain);
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "restarted daemon did not drain cleanly");
+  rm_rf dir
+
 (* a storage fault on the admission path degrades the daemon to read-only
    instead of killing it. [checkpoints] is a regular file, so the per-job
    checkpoint dir cannot be made (ENOTDIR — unlike a chmod, this holds when
@@ -1072,7 +1129,7 @@ let ckpt_blocked_cfg name =
 
 let test_e2e_checkpoint_dir_fault_degrades () =
   let dir, cfg = ckpt_blocked_cfg "serve-ckpt-fault" in
-  let pid = start_daemon cfg in
+  with_daemon cfg @@ fun pid ->
   wait_ready cfg;
   let r = rpc cfg (Protocol.Submit (submit_spec "c17")) in
   check (Alcotest.option Alcotest.bool) "submit refused" (Some false)
@@ -1174,4 +1231,6 @@ let () =
           Alcotest.test_case "checkpoint dir fault degrades, not dies" `Quick
             test_e2e_checkpoint_dir_fault_degrades;
           Alcotest.test_case "checkpoint dir fault on recovery is typed" `Quick
-            test_recovery_checkpoint_dir_fault_is_typed ] ) ]
+            test_recovery_checkpoint_dir_fault_is_typed;
+          Alcotest.test_case "failed result survives a restart byte-equal"
+            `Quick test_e2e_failed_result_survives_restart ] ) ]
